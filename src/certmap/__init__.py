@@ -19,7 +19,7 @@ from .certainty import (
     rho_minus,
     rho_plus,
 )
-from .fit import FitConfig, VolumeFit, VoxelFit, fit_volume, fit_voxel
+from .fit import VolumeFit, VoxelFit, fit_volume, fit_voxel
 from .model import (
     MixtureParams,
     PValueVector,
@@ -62,7 +62,6 @@ __all__ = [
     "ActivationMap",
     "CertaintyMaps",
     "CertaintyRecord",
-    "FitConfig",
     "GroundTruthField",
     "MixtureParams",
     "PValueVector",

@@ -135,6 +135,20 @@ def _optimal_threshold_impl(params, nu, moment=None):
     return tau_star, float(frontier(tau_star, params, nu)), False
 
 
+def _optimal_thresholds(lam, delta, nu):
+    """_optimal_threshold_impl over voxel arrays: (tau*, frontier value,
+    degenerate flag), one entry per voxel."""
+    moment = special.get_moment_table(nu)
+    n = len(lam)
+    tau = np.empty(n)
+    value = np.empty(n)
+    degenerate = np.zeros(n, dtype=bool)
+    for i in range(n):
+        params = MixtureParams(float(lam[i]), float(delta[i]))
+        tau[i], value[i], degenerate[i] = _optimal_threshold_impl(params, nu, moment=moment)
+    return tau, value, degenerate
+
+
 def optimal_threshold(params, nu):
     """Threshold maximizing the frontier, with the achieved frontier value.
 
@@ -229,48 +243,38 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     """
     n = fits.n_masked
     nu = float(nu)
-    out_tau = np.empty(n)
-    out_rp = np.empty(n)
-    out_rm = np.empty(n)
-    out_fv = np.empty(n)
-    out_auc = np.empty(n)
     flags = np.zeros(n, dtype=np.int32)
+    flags[~np.asarray(fits.converged, dtype=bool)] |= FLAG_NOT_CONVERGED
 
     from_frontier = isinstance(tau_source, str)
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        tau_ext = None
+        out_tau, out_fv, degenerate = _optimal_thresholds(fits.lam, fits.delta, nu)
+        # a boundary threshold never declares one of the two states, so the
+        # corresponding certainty is a vacuous posterior
+        flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
+        bad = ~((out_tau >= 0.0) & (out_tau <= 1.0))
     else:
-        tau_ext = np.broadcast_to(np.asarray(tau_source, dtype=np.float64), (n,))
+        out_tau = np.array(np.broadcast_to(np.asarray(tau_source, dtype=np.float64), (n,)))
+        out_fv = np.full(n, math.nan)
+        bad = ~((out_tau > 0.0) & (out_tau < 1.0))
+    flags[bad] |= FLAG_BAD_TAU
+    out_fv[bad] = math.nan
 
-    moment = special.LogMomentTable(nu)
+    out_rp = np.full(n, math.nan)
+    out_rm = np.full(n, math.nan)
+    out_auc = np.empty(n)
     for i in range(n):
         params = MixtureParams(float(fits.lam[i]), float(fits.delta[i]))
-        if not fits.converged[i]:
-            flags[i] |= FLAG_NOT_CONVERGED
-        if from_frontier:
-            tau, value, degenerate = _optimal_threshold_impl(params, nu, moment=moment)
-            if degenerate or tau <= 0.0 or tau >= 1.0:
-                # a boundary threshold never declares one of the two states,
-                # so the corresponding certainty is a vacuous posterior
-                flags[i] |= FLAG_DEGENERATE_TAU
-        else:
-            tau = float(tau_ext[i])
-            value = math.nan
-        out_tau[i] = tau
-        if not (0.0 <= tau <= 1.0) or (not from_frontier and not (0.0 < tau < 1.0)):
-            flags[i] |= FLAG_BAD_TAU
-            out_rp[i] = math.nan
-            out_rm[i] = math.nan
-            out_fv[i] = math.nan
-            out_auc[i] = auc(params.delta, nu)
+        out_auc[i] = auc(params.delta, nu)
+        if bad[i]:
             continue
-        tau_eval = min(max(tau, _TAU_EDGE), 1.0 - _TAU_EDGE)
+        tau_eval = min(max(float(out_tau[i]), _TAU_EDGE), 1.0 - _TAU_EDGE)
         out_rp[i] = rho_plus(tau_eval, params, nu)
         out_rm[i] = rho_minus(tau_eval, params, nu)
-        out_fv[i] = value if from_frontier else float(frontier(tau, params, nu))
-        out_auc[i] = auc(params.delta, nu)
+        if not from_frontier:
+            out_fv[i] = float(frontier(float(out_tau[i]), params, nu))
 
     return CertaintyMaps(
         dims=fits.dims,

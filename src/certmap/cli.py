@@ -26,13 +26,15 @@ import time
 import numpy as np
 
 from . import __version__, certainty, simulate, thresholding, volume
-from .fit import FitConfig, fit_volume
+from .fit import VolumeFit, fit_volume
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
 NUMERICAL_ERROR = 3
 
 _ENV_THREADS = "CERTMAP_THREADS"
+_THREADS_HELP = ("accepted for compatibility and recorded in the manifest; has no "
+                 f"effect, the fit runs as one array pass (default: ${_ENV_THREADS} or 1)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +91,7 @@ def _param_container(kind, fits_or_maps, values, dof):
 def cmd_fit(args):
     t0 = time.time()
     data = volume.ReplicationSet.from_container(volume.read_container(args.input))
-    config = FitConfig(restarts=args.restarts, tol=args.tol)
-    fits = fit_volume(data, config, workers=args.threads)
+    fits = fit_volume(data)
     dof_ref = float(data.dofs[0])
     outputs = {}
     for kind, values, suffix in (
@@ -108,9 +109,6 @@ def cmd_fit(args):
         {"input": args.input},
         outputs,
         {
-            "restarts": config.restarts,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
             "threads": args.threads,
             "dof_reference": dof_ref,
             "n_not_converged": int(np.count_nonzero(~fits.converged)),
@@ -138,8 +136,6 @@ def cmd_certainty(args):
         raise volume.ContainerError("composite volume disagrees with the fits")
     dof = args.dof if args.dof is not None else float(lam_c.dofs[0])
 
-    from .fit import VolumeFit
-
     fits = VolumeFit(
         dims=lam_c.dims,
         mask=lam_c.mask,
@@ -147,7 +143,6 @@ def cmd_certainty(args):
         delta=delta_c.values[0],
         loglik=np.full(lam_c.n_masked, np.nan),
         converged=np.ones(lam_c.n_masked, dtype=bool),
-        restarts_used=0,
         clamp_counts=np.zeros(lam_c.n_masked, dtype=np.int64),
     )
     composite = comp_c.values[0]
@@ -213,9 +208,7 @@ def cmd_simulate(args):
     t0 = time.time()
     truth = simulate.make_ground_truth(args.N, scenario=args.scenario, seed=args.seed)
     m_range = _parse_m_range(args.M_range)
-    report = simulate.run_simulation(
-        truth, m_range, FitConfig(), seed=args.seed, workers=args.threads
-    )
+    report = simulate.run_simulation(truth, m_range, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(report.to_tsv())
     manifest_path = f"{args.out}.manifest.json"
@@ -358,9 +351,7 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit the p-value mixture per voxel")
     p.add_argument("--input", required=True, help="p-value replication container")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--restarts", type=int, default=9)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("certainty", help="thresholds, certainties and decisions")
@@ -378,7 +369,7 @@ def _build_parser():
     p.add_argument("--N", type=int, required=True, help="number of voxels")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="report TSV path")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("overlap", help="percent-overlap matrix of decision maps")

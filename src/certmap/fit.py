@@ -1,88 +1,54 @@
 """Per-voxel maximum-likelihood fitting of the p-value mixture.
 
-Each voxel is fit independently: Nelder-Mead downhill simplex on the
-unconstrained surface (logit lam, log(delta - 1)), multi-started from a
-fixed 3 x 3 grid, keeping the best converged point. The hot loop evaluates
-the density ratio through a per-dof spline of the log-moment integral; the
-reported log-likelihood is recomputed exactly at the winning parameters.
+With R_j(delta) the density ratio at replication j, the log-likelihood for
+fixed delta,
 
-Voxel fits are pure functions of (p-values, dofs, config), so a volume fit
-is reproducible bit for bit regardless of worker count or visitation order.
+    l(lam) = sum_j log(1 - lam + lam * R_j(delta)),
+
+is concave in lam, and its derivative sum_j (R_j - 1) / (1 - lam + lam R_j)
+has a closed form. So lam_hat(delta) is one safeguarded Newton solve on
+that derivative, and the fit reduces to maximizing the profile
+l(lam_hat(delta), delta) over the single variable v = log(delta - 1). The
+search covers the delta floor 1 + 1e-12 to the delta cap 50: a shared grid
+in v that includes both ends, then golden-section search in the grid cell
+around each voxel's best grid point. The result is never worse than the
+best grid point.
+
+Every step runs on all masked voxels at once, as arrays with one row per
+voxel. Each voxel's p-values are sorted within their dof group before any
+sum, so a fit is invariant to the order of the replications, and no row's
+arithmetic depends on the other rows: a voxel fits the same, bit for bit,
+whatever else is in the volume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
-from scipy.special import expit
 
 from . import special
-from .model import MixtureParams, PValueVector, voxel_loglik
+from .model import PValueVector, clamp_pvalues
+from .special import get_moment_table
 
 __all__ = [
-    "FitConfig",
     "VoxelFit",
     "VolumeFit",
-    "START_GRID",
     "fit_voxel",
     "fit_volume",
-    "nelder_mead",
 ]
 
-# multi-start grid over (lam, delta), centre first; config.restarts takes a
-# prefix of this list
-START_GRID = (
-    (0.5, 3.0),
-    (0.1, 1.5),
-    (0.9, 6.0),
-    (0.1, 6.0),
-    (0.9, 1.5),
-    (0.5, 1.5),
-    (0.5, 6.0),
-    (0.1, 3.0),
-    (0.9, 3.0),
-)
-
 _LAM_EPS = 1e-12
-# compact search box for log(delta - 1). When lam collapses to 0 the surface
-# goes flat in delta (the mixture is uniform no matter the effect size) and
-# an unbounded simplex can drift arbitrarily far along that ridge; capping
-# delta at 50 keeps the reported map finite without touching any plausible
-# effect size.
+# Capping delta at 50 keeps the search compact without touching any
+# plausible effect size.
 DELTA_CAP = 50.0
-_V_MIN, _V_MAX = -41.0, math.log(DELTA_CAP - 1.0)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer settings for voxel fits.
-
-    restarts selects how many of the 9 canonical start points are used;
-    tol is the simplex function-value spread that counts as converged.
-    The delta floor is fixed at 1: below it the mixture weight loses
-    identifiability, so the optimizer works in log(delta - 1).
-    """
-
-    restarts: int = 9
-    tol: float = 1e-9
-    max_iter: int = 500
-    delta_floor: float = 1.0
-    lambda_bounds: tuple = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not (1 <= int(self.restarts) <= len(START_GRID)):
-            raise ValueError(f"restarts must be in 1..{len(START_GRID)}")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.delta_floor != 1.0:
-            raise ValueError("delta_floor is fixed at 1.0")
-        if tuple(self.lambda_bounds) != (0.0, 1.0):
-            raise ValueError("lambda_bounds are fixed at the open unit interval")
+_V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
+# grid in v: the floor, then even steps from delta = 1.01 to the cap
+_V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
+_GOLDEN_STEPS = 40
+_NEWTON_STEPS = 60
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +57,6 @@ class VoxelFit:
     delta_hat: float
     loglik: float
     converged: bool
-    restarts_used: int
     clamp_count: int
 
 
@@ -105,7 +70,6 @@ class VolumeFit:
     delta: np.ndarray
     loglik: np.ndarray
     converged: np.ndarray
-    restarts_used: int
     clamp_counts: np.ndarray
 
     @property
@@ -118,203 +82,170 @@ class VolumeFit:
             delta_hat=float(self.delta[i]),
             loglik=float(self.loglik[i]),
             converged=bool(self.converged[i]),
-            restarts_used=self.restarts_used,
             clamp_count=int(self.clamp_counts[i]),
         )
 
 
-_MOMENT_TABLES = {}
-
-
-def get_moment_table(nu):
-    """Process-local cache of LogMomentTable per dof."""
-    key = float(nu)
-    tab = _MOMENT_TABLES.get(key)
-    if tab is None:
-        tab = special.LogMomentTable(key)
-        _MOMENT_TABLES[key] = tab
-    return tab
-
-
-def nelder_mead(fn, x0, step=0.5, tol=1e-9, max_iter=500):
-    """Minimize fn over R^n with the classic downhill simplex.
-
-    Coefficients are the standard reflection/expansion/contraction/shrink
-    values (1, 2, 0.5, 0.5). Converged means the spread of simplex function
-    values fell below tol. Returns (x_best, f_best, converged).
-    """
-    n = len(x0)
-    pts = [np.asarray(x0, dtype=np.float64)]
-    for i in range(n):
-        p = pts[0].copy()
-        p[i] += step
-        pts.append(p)
-    vals = [fn(p) for p in pts]
-
-    converged = False
-    for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
-        pts = [pts[k] for k in order]
-        vals = [vals[k] for k in order]
-        if vals[-1] - vals[0] < tol:
-            converged = True
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-
-        xr = centroid + (centroid - pts[-1])
-        fr = fn(xr)
-        if vals[0] <= fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-            continue
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = fn(xe)
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-            continue
-        xc = centroid + 0.5 * (pts[-1] - centroid)
-        fc = fn(xc)
-        if fc < vals[-1]:
-            pts[-1], vals[-1] = xc, fc
-            continue
-        # shrink toward the best vertex
-        for k in range(1, n + 1):
-            pts[k] = pts[0] + 0.5 * (pts[k] - pts[0])
-            vals[k] = fn(pts[k])
-
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]], converged
-
-
-def _voxel_objective(pvals, tables):
-    """Negative log-likelihood on the (logit lam, log(delta-1)) surface.
-
-    Per-voxel quantities that do not move with the parameters (the quantile
-    transform of each p-value and its direction cosine) are precomputed, so
-    one evaluation costs a spline lookup plus a logaddexp.
-    """
+def _direction_cosines(pvalues, dofs):
+    """Per dof group: (c, table), c = x / sqrt(nu + x^2) of the upper
+    quantiles x, one row per voxel, sorted within each row."""
     groups = []
-    for nu in np.unique(pvals.dofs):
-        sel = pvals.dofs == nu
-        x = np.atleast_1d(special.t_upper_quantile(pvals.values[sel], float(nu)))
-        c = x / np.hypot(math.sqrt(float(nu)), x)
-        groups.append((c, tables[float(nu)]))
-
-    def neg_loglik(theta):
-        u, v = theta
-        lam = expit(u)
-        v = min(max(v, _V_MIN), _V_MAX)
-        delta = 1.0 + math.exp(v)
-        log_lam = math.log(lam) if lam > 0.0 else -math.inf
-        log_1mlam = math.log1p(-lam) if lam < 1.0 else -math.inf
-        total = 0.0
-        for c, tab in groups:
-            mu = delta * c
-            logratio = 0.5 * (mu * mu - delta * delta) + tab(mu) - tab.at_zero
-            total += float(np.sum(np.logaddexp(log_1mlam, log_lam + logratio)))
-        if not math.isfinite(total):
-            return math.inf
-        return -total
-
-    return neg_loglik
+    for nu in np.unique(dofs):
+        # the table first: building it after the quantiles leaves the heap
+        # laid out so that the build peaks about 10 MB higher
+        tab = get_moment_table(nu)
+        p = np.sort(pvalues[dofs == nu].T, axis=1)
+        x = special.t_upper_quantile(p, nu)
+        groups.append((x / np.hypot(math.sqrt(nu), x), tab))
+    return groups
 
 
-def fit_voxel(pvals, config=FitConfig()):
-    """Maximum-likelihood (lam, delta) for one voxel.
+def _log_ratios(groups, delta):
+    """log R_j(delta) for every (voxel, replication), delta one per voxel."""
+    d = delta[:, None]
+    parts = []
+    for c, tab in groups:
+        mu = d * c
+        parts.append(0.5 * (mu * mu - d * d) + tab(mu) - tab.at_zero)
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
 
-    Runs every configured start; if none converges the best point found is
-    still returned, flagged not-converged, so whole-volume runs never abort.
+
+def _lam_hat(logr, lam):
+    """Row-wise maximizer of sum_j log(1 - lam + lam R_j) over the clipped
+    unit interval, by Newton steps from the starting values lam.
+
+    With q = min(R, 1) and r = min(1/R, 1), the slope term is
+    (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
+    overflow however large R is; minus the sum of its squares is the second
+    derivative. Steps that leave the bracket are replaced by bisection, and
+    a row stops moving once a step changes it by less than 1e-15 relative,
+    so each row's result depends on that row alone.
     """
+    q = np.exp(np.minimum(logr, 0.0))
+    r = np.exp(-np.maximum(logr, 0.0))
+    dq = q - r
+
+    def slope(lam):
+        t = dq / (r + lam[:, None] * dq)
+        return t.sum(axis=1), (t * t).sum(axis=1)
+
+    n = logr.shape[0]
+    lo = np.full(n, _LAM_EPS)
+    hi = np.full(n, 1.0 - _LAM_EPS)
+    at_lo = slope(lo)[0] <= 0.0
+    at_hi = slope(hi)[0] >= 0.0
+    moving = ~(at_lo | at_hi)
+    for _ in range(_NEWTON_STEPS):
+        if not moving.any():
+            break
+        g, h = slope(lam)
+        lo = np.where(g > 0.0, lam, lo)
+        hi = np.where(g < 0.0, lam, hi)
+        new = lam + np.divide(g, h, out=np.zeros(n), where=h > 0.0)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        moving &= np.abs(new - lam) > 1e-15 * lam
+        lam = np.where(moving, new, lam)
+    return np.where(at_lo, _LAM_EPS, np.where(at_hi, 1.0 - _LAM_EPS, lam))
+
+
+def _loglik(logr, lam):
+    """Row sums of the log mixture density, as in model.mixture_logpdf."""
+    terms = np.logaddexp(np.log1p(-lam)[:, None], np.log(lam)[:, None] + logr)
+    return terms.sum(axis=1)
+
+
+def _profile(groups, v, lam0):
+    """(profile log-likelihood, lam_hat) at delta = 1 + e^v, one v per
+    voxel; the lam search starts from lam0.
+
+    Where lam_hat sits at its lower clip, the supremum over lam is the
+    lam = 0 value, exactly 0 whatever delta is (the mixture is uniform).
+    Using it makes such voxels tie across delta, so they keep the first grid
+    point, the delta floor.
+    """
+    logr = _log_ratios(groups, 1.0 + np.exp(v))
+    lam = _lam_hat(logr, lam0)
+    return np.where(lam == _LAM_EPS, 0.0, _loglik(logr, lam)), lam
+
+
+def _fit(pvalues, dofs):
+    """Profile-likelihood fit of an (M, N) p-value block.
+
+    Returns (lam, delta, loglik) arrays over the N voxels.
+    """
+    groups = _direction_cosines(pvalues, dofs)
+    n = pvalues.shape[1]
+    best_f = np.full(n, -np.inf)
+    best_v = np.full(n, _V_MIN)
+    best_lam = np.full(n, _LAM_EPS)
+    best_k = np.zeros(n, dtype=int)
+
+    def keep(v, f, lam):
+        better = f > best_f
+        best_f[better] = f[better]
+        best_v[better] = v[better]
+        best_lam[better] = lam[better]
+        return better
+
+    lam = np.full(n, 0.5)
+    for k, v in enumerate(_V_GRID):
+        vs = np.full(n, v)
+        f, lam = _profile(groups, vs, lam)
+        best_k[keep(vs, f, lam)] = k
+
+    # golden-section search over the cell on each side of the best grid point
+    last = _V_GRID.size - 1
+    a = _V_GRID[np.maximum(best_k - 1, 0)]
+    b = _V_GRID[np.minimum(best_k + 1, last)]
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, lam1 = _profile(groups, x1, best_lam)
+    f2, lam2 = _profile(groups, x2, best_lam)
+    keep(x1, f1, lam1)
+    keep(x2, f2, lam2)
+    for _ in range(_GOLDEN_STEPS):
+        left = f1 >= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x_new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new, lam_new = _profile(groups, x_new, best_lam)
+        keep(x_new, f_new, lam_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+
+    delta = 1.0 + np.exp(best_v)
+    return best_lam, delta, _loglik(_log_ratios(groups, delta), best_lam)
+
+
+def fit_voxel(pvals):
+    """Maximum-likelihood (lam, delta) for one voxel: fit_volume's search on
+    a single column. converged means the search found a finite
+    log-likelihood."""
     if not isinstance(pvals, PValueVector):
         raise TypeError("pvals must be a PValueVector")
-    tables = {float(nu): get_moment_table(nu) for nu in np.unique(pvals.dofs)}
-    objective = _voxel_objective(pvals, tables)
-
-    best = None
-    best_converged = False
-    for lam0, delta0 in START_GRID[: config.restarts]:
-        x0 = np.array([math.log(lam0 / (1.0 - lam0)), math.log(delta0 - 1.0)])
-        x, f, conv = nelder_mead(
-            objective, x0, step=0.5, tol=config.tol, max_iter=config.max_iter
-        )
-        if best is None or f < best[1] or (f == best[1] and not best_converged and conv):
-            best = (x, f)
-            best_converged = conv
-
-    u, v = best[0]
-    lam_hat = float(np.clip(expit(u), _LAM_EPS, 1.0 - _LAM_EPS))
-    delta_hat = 1.0 + math.exp(min(max(v, _V_MIN), _V_MAX))
-    if delta_hat <= 1.0:
-        delta_hat = 1.0 + 1e-12
-    params = MixtureParams(lam_hat, delta_hat)
-    loglik = voxel_loglik(pvals, params, moments=tables)
+    lam, delta, loglik = _fit(pvals.values[:, None], pvals.dofs)
     return VoxelFit(
-        lam_hat=lam_hat,
-        delta_hat=delta_hat,
-        loglik=loglik,
-        converged=best_converged,
-        restarts_used=config.restarts,
+        lam_hat=float(lam[0]),
+        delta_hat=float(delta[0]),
+        loglik=float(loglik[0]),
+        converged=bool(np.isfinite(loglik[0])),
         clamp_count=pvals.n_clamped,
     )
 
 
-def _fit_block(args):
-    pvalues, dofs, config = args
-    n = pvalues.shape[1]
-    lam = np.empty(n)
-    delta = np.empty(n)
-    loglik = np.empty(n)
-    conv = np.empty(n, dtype=bool)
-    for i in range(n):
-        pv = PValueVector(pvalues[:, i], dofs)
-        fit = fit_voxel(pv, config)
-        lam[i] = fit.lam_hat
-        delta[i] = fit.delta_hat
-        loglik[i] = fit.loglik
-        conv[i] = fit.converged
-    return lam, delta, loglik, conv
-
-
-def fit_volume(data, config=FitConfig(), workers=1):
-    """fit_voxel applied independently to every masked voxel.
-
-    Output is a pure function of (data, config): identical across worker
-    counts and voxel orderings.
-    """
-    n = data.n_masked
-    if n == 0:
+def fit_volume(data):
+    """Maximum-likelihood (lam, delta) of every masked voxel in one array
+    pass. Output is a pure function of each voxel's p-values and dofs."""
+    if data.n_masked == 0:
         raise ValueError("mask is empty")
-    workers = max(1, int(workers))
-
-    blocks = []
-    n_blocks = 1 if workers == 1 else min(n, workers * 4)
-    bounds = np.linspace(0, n, n_blocks + 1).astype(int)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            blocks.append((data.pvalues[:, a:b], data.dofs, config))
-
-    if workers == 1 or len(blocks) == 1:
-        results = [_fit_block(b) for b in blocks]
-    else:
-        # warm the spline cache before forking so children share it
-        for nu in np.unique(data.dofs):
-            get_moment_table(nu)
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_fit_block, blocks)
-
-    lam = np.concatenate([r[0] for r in results])
-    delta = np.concatenate([r[1] for r in results])
-    loglik = np.concatenate([r[2] for r in results])
-    conv = np.concatenate([r[3] for r in results])
+    pvalues, _ = clamp_pvalues(data.pvalues)
+    lam, delta, loglik = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
     return VolumeFit(
         dims=data.dims,
         mask=data.mask.copy(),
         lam=lam,
         delta=delta,
         loglik=loglik,
-        converged=conv,
-        restarts_used=config.restarts,
+        converged=np.isfinite(loglik),
         clamp_counts=data.clamp_counts.copy(),
     )

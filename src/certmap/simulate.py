@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import certainty, special
-from .fit import FitConfig, fit_volume
+from .fit import fit_volume
 from .model import CLAMP_HI, CLAMP_LO, MixtureParams
 from .volume import ReplicationSet
 
@@ -251,15 +251,14 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-def score_fit(lam_hat, delta_hat, truth, moment=None):
+def score_fit(lam_hat, delta_hat, truth):
     """RMSE of both parameter maps and the voxel-mean squared Hellinger
     distance between fitted and true densities."""
     lam_hat = np.asarray(lam_hat, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     rmse_l = float(np.sqrt(np.mean((lam_hat - truth.lam) ** 2)))
     rmse_d = float(np.sqrt(np.mean((delta_hat - truth.delta) ** 2)))
-    if moment is None:
-        moment = special.LogMomentTable(truth.nu)
+    moment = special.get_moment_table(truth.nu)
     shd = np.empty(truth.n_masked)
     for i in range(truth.n_masked):
         shd[i] = hellinger_sq(
@@ -271,16 +270,15 @@ def score_fit(lam_hat, delta_hat, truth, moment=None):
     return rmse_l, rmse_d, float(np.mean(shd))
 
 
-def run_simulation(truth, m_range, config=FitConfig(), seed=0, workers=1):
+def run_simulation(truth, m_range, seed=0):
     """Generate, refit and score the field at every replication count."""
     if truth.n_masked == 0:
         raise ValueError("ground truth is empty")
-    moment = special.LogMomentTable(truth.nu)
     rows = []
     for m in m_range:
         data = generate_replications(truth, int(m), seed)
-        fits = fit_volume(data, config, workers=workers)
-        rmse_l, rmse_d, avg_shd = score_fit(fits.lam, fits.delta, truth, moment=moment)
+        fits = fit_volume(data)
+        rmse_l, rmse_d, avg_shd = score_fit(fits.lam, fits.delta, truth)
         rows.append(
             SimulationRow(
                 m=int(m),
@@ -322,7 +320,7 @@ class SplitResult:
     fraction_compared: float
 
 
-def robustness_split(data, composite_pvals, config=FitConfig(), seed=0, workers=1):
+def robustness_split(data, composite_pvals, seed=0):
     """Fit two disjoint halves of the replications and compare the frontier
     decisions and certainties they induce on the shared composite volume.
 
@@ -340,7 +338,7 @@ def robustness_split(data, composite_pvals, config=FitConfig(), seed=0, workers=
     halves = []
     for idx in (idx_a, idx_b):
         half = data.subset(idx)
-        fits = fit_volume(half, config, workers=workers)
+        fits = fit_volume(half)
         maps = certainty.certainty_volume(fits, half.dofs[0], tau_source="frontier")
         decisions = composite_pvals <= maps.tau
         halves.append((maps, decisions))

@@ -34,6 +34,7 @@ __all__ = [
     "nct_t_logratio",
     "log_moment",
     "LogMomentTable",
+    "get_moment_table",
 ]
 
 _LOG2PI = math.log(2.0 * math.pi)
@@ -143,8 +144,8 @@ def t_quantile(p, nu):
     bad = np.abs(np.atleast_1d(t_cdf(t, nu)) - arr) > 1e-11
     if bad.any():
         t = t.copy()
-        for i in np.nonzero(bad)[0]:
-            t[i] = _bisect_quantile(float(arr[i]), nu)
+        for i in np.flatnonzero(bad):
+            t.flat[i] = _bisect_quantile(float(arr.flat[i]), nu)
     return _unwrap(t, scalar)
 
 
@@ -220,16 +221,18 @@ def log_moment(nu, mu, n_nodes=320):
     nodes, weights = _gauss_legendre(n_nodes)
     pieces_h = []
     pieces_lw = []
+    # one row per mu, so each row's sum runs in the same order however many
+    # values share the call
     for lo, hi in ((edges[0], edges[1]), (edges[1], edges[2])):
-        half = 0.5 * (hi - lo)
-        v = lo + half * (nodes[:, None] + 1.0)
+        half = 0.5 * (hi - lo)[:, None]
+        v = lo[:, None] + half * (nodes + 1.0)
         s = np.exp(v)
-        pieces_h.append(np1 * v - 0.5 * (s - arr) ** 2)
-        pieces_lw.append(np.log(weights[:, None] * half))
-    h = np.vstack(pieces_h)
-    lw = np.vstack(pieces_lw)
-    hmax = h.max(axis=0)
-    out = hmax + np.log(np.sum(np.exp(h + lw - hmax), axis=0))
+        pieces_h.append(np1 * v - 0.5 * (s - arr[:, None]) ** 2)
+        pieces_lw.append(np.log(weights * half))
+    h = np.hstack(pieces_h)
+    lw = np.hstack(pieces_lw)
+    hmax = h.max(axis=1)
+    out = hmax + np.log(np.sum(np.exp(h + lw - hmax[:, None]), axis=1))
     return _unwrap(out, scalar)
 
 
@@ -257,6 +260,17 @@ class LogMomentTable:
             out[inside] = self._spline(arr[inside])
             out[~inside] = np.atleast_1d(log_moment(self.nu, arr[~inside]))
         return _unwrap(out, scalar)
+
+
+_MOMENT_TABLES = {}
+
+
+def get_moment_table(nu):
+    """The process-wide LogMomentTable for nu, built on first use."""
+    key = _as_dof(nu)
+    if key not in _MOMENT_TABLES:
+        _MOMENT_TABLES[key] = LogMomentTable(key)
+    return _MOMENT_TABLES[key]
 
 
 # ---------------------------------------------------------------------------

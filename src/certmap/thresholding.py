@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certainty, special
-from .model import MixtureParams
+from . import certainty
 
 __all__ = [
     "ActivationMap",
@@ -144,11 +143,7 @@ def threshold_with_frontier(fits, composite_pvals, nu, taus=None):
     if composite_pvals.size != fits.n_masked:
         raise ValueError("composite volume does not match the fitted mask")
     if taus is None:
-        moment = special.LogMomentTable(float(nu))
-        taus = np.empty(fits.n_masked)
-        for i in range(fits.n_masked):
-            params = MixtureParams(float(fits.lam[i]), float(fits.delta[i]))
-            taus[i], _, _ = certainty._optimal_threshold_impl(params, float(nu), moment=moment)
+        taus = certainty._optimal_thresholds(fits.lam, fits.delta, float(nu))[0]
     else:
         taus = np.asarray(taus, dtype=np.float64)
         if taus.size != fits.n_masked:

@@ -17,7 +17,6 @@ from certmap import special as sp
 from certmap import thresholding as th
 from certmap import volume as vol
 from certmap.cli import main
-from certmap.fit import FitConfig, fit_volume
 
 from oracles import bh_reject_bruteforce, integrate_unit_interval, nct_cdf_quad
 
@@ -194,8 +193,7 @@ def default_truth():
 
 def test_criterion_07_table_shaped_simulation(default_truth):
     t0 = time.time()
-    report = sim.run_simulation(default_truth, [2, 6, 12], FitConfig(),
-                                seed=SEED, workers=8)
+    report = sim.run_simulation(default_truth, [2, 6, 12], seed=SEED)
     elapsed = time.time() - t0
     shd = {r.m: r.avg_shd for r in report.rows}
     rmse_l = {r.m: r.rmse_lambda for r in report.rows}
@@ -212,7 +210,7 @@ def test_criterion_07_table_shaped_simulation(default_truth):
 def test_criterion_09_robustness_split(default_truth):
     data = sim.generate_replications(default_truth, 12, seed=SEED)
     comp = sim.make_composite(data)
-    res = sim.robustness_split(data, comp, FitConfig(), seed=SPLIT_SEED, workers=8)
+    res = sim.robustness_split(data, comp, seed=SPLIT_SEED)
     # agreement gate frozen at 0.80 after the documented calibration run on
     # this scenario (see decisions ledger); certainty comparison covers the
     # voxels with usable thresholds in both halves

@@ -5,7 +5,7 @@ import pytest
 
 from certmap import certainty as ct
 from certmap import simulate as sim
-from certmap.fit import FitConfig, fit_volume
+from certmap.fit import fit_volume
 from certmap.model import MixtureParams, power
 
 from oracles import auc_quad
@@ -160,7 +160,7 @@ def test_auc_matches_adaptive_oracle(nu, delta):
 def _maps_fixture(n=30, m=6, seed=21):
     truth = sim.make_ground_truth(n, seed=seed)
     data = sim.generate_replications(truth, m, seed=seed)
-    fits = fit_volume(data, FitConfig())
+    fits = fit_volume(data)
     return truth, data, fits
 
 
@@ -211,7 +211,7 @@ def test_mean_rho_minus_floor_on_default_scenario():
     # certainty at frontier thresholds stays comfortably high
     truth = sim.make_ground_truth(400, seed=55)
     data = sim.generate_replications(truth, 12, seed=55)
-    fits = fit_volume(data, FitConfig(), workers=4)
+    fits = fit_volume(data)
     maps = ct.certainty_volume(fits, 122.0, tau_source="frontier")
     assert np.mean(maps.rho_minus) >= 0.62
     usable = (maps.flags & ct.FLAG_DEGENERATE_TAU) == 0

@@ -46,7 +46,14 @@ def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path):
     assert np.all(delta.values > 1)
     manifest = json.loads((tmp_path / "fits.manifest.json").read_text())
     assert manifest["subcommand"] == "fit"
-    assert manifest["config"]["restarts"] == 9
+    config = manifest["config"]
+    assert config["dof_reference"] == 122.0
+    assert config["n_not_converged"] == 0
+    assert config["threads"] == 1
+    assert set(manifest["outputs"]) == {"lambda", "delta", "converged"}
+    converged = vol.read_container(f"{out}.converged.vol")
+    assert converged.kind == "decision"
+    assert np.all(converged.values == 1.0)
 
 
 def test_fit_threads_bit_identical(fixture_volumes, tmp_path):
@@ -69,10 +76,10 @@ def test_certainty_frontier_matches_library(fixture_volumes, tmp_path):
     ])
     assert rc == 0
     from certmap import certainty as ct
-    from certmap.fit import FitConfig, fit_volume
+    from certmap.fit import fit_volume
 
     data = vol.ReplicationSet.from_container(vol.read_container(reps))
-    fits = fit_volume(data, FitConfig())
+    fits = fit_volume(data)
     maps = ct.certainty_volume(fits, 122.0, tau_source="frontier")
     taus = vol.read_container(f"{tmp_path / 'c'}.tau.vol").values[0]
     np.testing.assert_array_equal(taus, maps.tau)
@@ -251,6 +258,29 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["fit"])  # missing required flags
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("option", [["--restarts", "9"], ["--tol", "1e-9"]],
+                         ids=["restarts", "tol"])
+def test_fit_rejects_removed_options(fixture_volumes, tmp_path, option):
+    # the profile-likelihood search has no restarts or tolerance to set
+    reps, _ = fixture_volumes
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(reps), "--out", str(tmp_path / "f"), *option])
+    assert exc.value.code == 1
+    assert not (tmp_path / "f.lambda.vol").exists()
+
+
+def test_threads_option_and_env_have_no_effect(fixture_volumes, tmp_path, monkeypatch):
+    reps, _ = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "a")])
+    monkeypatch.setenv("CERTMAP_THREADS", "3")
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "b")])
+    manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+    assert manifest["config"]["threads"] == 3
+    for suffix in ("lambda", "delta", "converged"):
+        assert ((tmp_path / f"a.{suffix}.vol").read_bytes()
+                == (tmp_path / f"b.{suffix}.vol").read_bytes())
 
 
 def test_validation_error_exit_code(tmp_path):

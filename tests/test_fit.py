@@ -2,33 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certmap import fit as ft
 from certmap import model as md
 from certmap import simulate as sim
+from certmap import special as sp
 from certmap.volume import ReplicationSet
 
 
 def _draw_voxel(lam, delta, nu, m, rng):
     params = md.MixtureParams(lam, delta)
     return md.PValueVector(sim.sample_pvalue(params, nu, rng, size=m), nu)
-
-
-def test_fit_config_validation():
-    ft.FitConfig()
-    with pytest.raises(ValueError):
-        ft.FitConfig(restarts=0)
-    with pytest.raises(ValueError):
-        ft.FitConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        ft.FitConfig(delta_floor=0.5)
-
-
-def test_nelder_mead_quadratic():
-    x, f, conv = ft.nelder_mead(lambda v: (v[0] - 1) ** 2 + (v[1] + 2) ** 2, [0.0, 0.0])
-    assert conv
-    assert abs(x[0] - 1) < 1e-4 and abs(x[1] + 2) < 1e-4
-    assert f < 1e-7
 
 
 def test_fit_respects_constraints():
@@ -68,6 +54,60 @@ def test_fit_dominates_parameter_grid():
         assert f.loglik >= grid_best
 
 
+def _grid_loglik_max(pv, lams, deltas):
+    """max over a (lam, delta) grid of the model log-likelihood."""
+    best = -np.inf
+    for delta in deltas:
+        total = np.zeros(lams.size)
+        for nu in np.unique(pv.dofs):
+            x = sp.t_upper_quantile(pv.values[pv.dofs == nu], nu)
+            logr = sp.nct_t_logratio(x, nu, delta, moment=sp.get_moment_table(nu))
+            total += np.logaddexp(np.log1p(-lams)[:, None],
+                                  np.log(lams)[:, None] + logr[None, :]).sum(axis=1)
+        best = max(best, float(total.max()))
+    return best
+
+
+def test_fit_dominates_boundary_grid():
+    # the region criterion 4's grid leaves out: lam near 0 and 1, delta at
+    # the floor of 1 and up to the cap of 50
+    rng = np.random.default_rng(17)
+    lams = np.linspace(1e-6, 1.0 - 1e-6, 60)
+    deltas = np.geomspace(1.0, ft.DELTA_CAP, 60)
+    voxels = {
+        "uniform-null": [md.PValueVector(rng.uniform(size=12), 122.0) for _ in range(4)],
+        "strong": [_draw_voxel(0.95, 6.0, 122.0, 12, rng) for _ in range(4)],
+    }
+    floor = []
+    while len(floor) < 4:
+        pv = _draw_voxel(0.9, 1.0, 122.0, 12, rng)
+        if ft.fit_voxel(pv).delta_hat < 1.0 + 1e-9:
+            floor.append(pv)
+    voxels["delta-floor"] = floor
+    for kind, pvs in voxels.items():
+        for pv in pvs:
+            f = ft.fit_voxel(pv)
+            assert f.loglik >= _grid_loglik_max(pv, lams, deltas), kind
+            assert f.converged
+
+
+def test_fit_is_local_maximum():
+    # nudging an interior fit in any direction never raises the likelihood
+    rng = np.random.default_rng(19)
+    moments = {122.0: sp.get_moment_table(122.0)}
+    checked = 0
+    for lam, delta in ((0.5, 3.0), (0.7, 2.0), (0.3, 5.0)) * 3:
+        pv = _draw_voxel(lam, delta, 122.0, 12, rng)
+        f = ft.fit_voxel(pv)
+        if not (0.01 < f.lam_hat < 0.99 and 1.01 < f.delta_hat < 49.0):
+            continue
+        checked += 1
+        for dl, dd in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
+            near = md.MixtureParams(f.lam_hat + 1e-4 * dl, f.delta_hat + 1e-3 * dd)
+            assert md.voxel_loglik(pv, near, moments=moments) <= f.loglik + 1e-12
+    assert checked >= 5
+
+
 def test_fit_invariant_under_replication_order():
     rng = np.random.default_rng(8)
     pv = _draw_voxel(0.7, 3.0, 122.0, 12, rng)
@@ -75,6 +115,20 @@ def test_fit_invariant_under_replication_order():
     a = ft.fit_voxel(pv)
     b = ft.fit_voxel(shuffled)
     assert a.lam_hat == b.lam_hat and a.delta_hat == b.delta_hat
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fit_voxel_bit_identical_under_any_replication_permutation(data):
+    m = data.draw(st.integers(min_value=2, max_value=12), label="m")
+    pvals = data.draw(st.lists(st.floats(min_value=1e-13, max_value=1.0 - 1e-13),
+                               min_size=m, max_size=m), label="pvalues")
+    dofs = data.draw(st.lists(st.sampled_from([10.0, 122.0]), min_size=m, max_size=m),
+                     label="dofs")
+    perm = data.draw(st.permutations(range(m)), label="permutation")
+    a = ft.fit_voxel(md.PValueVector(pvals, dofs))
+    b = ft.fit_voxel(md.PValueVector([pvals[k] for k in perm], [dofs[k] for k in perm]))
+    assert a == b
 
 
 def test_fit_null_data_near_uniform_density():
@@ -118,7 +172,7 @@ def _small_volume(n=24, m=4, seed=3):
 
 def test_fit_volume_single_voxel_reduces_to_fit_voxel():
     data = _small_volume(n=1)
-    fits = ft.fit_volume(data, ft.FitConfig())
+    fits = ft.fit_volume(data)
     single = ft.fit_voxel(md.PValueVector(data.pvalues[:, 0], data.dofs))
     assert fits.lam[0] == single.lam_hat
     assert fits.delta[0] == single.delta_hat
@@ -127,31 +181,40 @@ def test_fit_volume_single_voxel_reduces_to_fit_voxel():
 
 def test_fit_volume_is_permutation_invariant():
     data = _small_volume()
-    fits = ft.fit_volume(data, ft.FitConfig())
+    fits = ft.fit_volume(data)
     perm = np.random.default_rng(0).permutation(data.n_masked)
     shuffled = ReplicationSet(
         dims=data.dims, mask=data.mask.copy(), dofs=data.dofs,
         pvalues=data.pvalues[:, perm],
     )
-    fits_p = ft.fit_volume(shuffled, ft.FitConfig())
+    fits_p = ft.fit_volume(shuffled)
     np.testing.assert_array_equal(fits_p.lam, fits.lam[perm])
     np.testing.assert_array_equal(fits_p.delta, fits.delta[perm])
 
 
 def test_fit_volume_worker_count_is_invisible():
+    # a caller that splits the mask into blocks, one per worker, gets the
+    # same voxels bit for bit as one call on the whole mask
     data = _small_volume()
-    serial = ft.fit_volume(data, ft.FitConfig(), workers=1)
-    parallel = ft.fit_volume(data, ft.FitConfig(), workers=4)
-    np.testing.assert_array_equal(serial.lam, parallel.lam)
-    np.testing.assert_array_equal(serial.delta, parallel.delta)
-    np.testing.assert_array_equal(serial.loglik, parallel.loglik)
-    np.testing.assert_array_equal(serial.converged, parallel.converged)
+    whole = ft.fit_volume(data)
+    for n_blocks in (2, 4, data.n_masked):
+        bounds = np.linspace(0, data.n_masked, n_blocks + 1).astype(int)
+        parts = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            block = ReplicationSet(
+                dims=(b - a, 1, 1), mask=np.ones((1, 1, b - a), dtype=bool),
+                dofs=data.dofs, pvalues=data.pvalues[:, a:b],
+            )
+            parts.append(ft.fit_volume(block))
+        for field in ("lam", "delta", "loglik", "converged"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))
 
 
 def test_fit_volume_repeat_run_identical():
     data = _small_volume(seed=11)
-    a = ft.fit_volume(data, ft.FitConfig(), workers=2)
-    b = ft.fit_volume(data, ft.FitConfig(), workers=2)
+    a = ft.fit_volume(data)
+    b = ft.fit_volume(data)
     np.testing.assert_array_equal(a.lam, b.lam)
     np.testing.assert_array_equal(a.delta, b.delta)
 
@@ -162,22 +225,13 @@ def test_fit_volume_empty_mask_rejected():
     data.pvalues = data.pvalues[:, :0]
     data.clamp_counts = data.clamp_counts[:0]
     with pytest.raises(ValueError):
-        ft.fit_volume(data, ft.FitConfig())
+        ft.fit_volume(data)
 
 
 def test_fit_volume_voxel_accessor():
     data = _small_volume(n=3)
-    fits = ft.fit_volume(data, ft.FitConfig())
+    fits = ft.fit_volume(data)
     v = fits.voxel(1)
     assert v.lam_hat == fits.lam[1]
     assert v.clamp_count == data.clamp_counts[1]
 
-
-def test_restart_prefix_is_used():
-    rng = np.random.default_rng(12)
-    pv = _draw_voxel(0.7, 3.0, 122.0, 8, rng)
-    f1 = ft.fit_voxel(pv, ft.FitConfig(restarts=1))
-    f9 = ft.fit_voxel(pv, ft.FitConfig(restarts=9))
-    assert f1.restarts_used == 1
-    assert f9.restarts_used == 9
-    assert f9.loglik >= f1.loglik - 1e-12

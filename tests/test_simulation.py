@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from certmap import simulate as sim
-from certmap.fit import FitConfig
 from certmap.model import MixtureParams, mixture_cdf
 
 from oracles import integrate_unit_interval
@@ -176,7 +175,7 @@ def test_score_fit_zero_error_on_truth():
 def test_large_m_consistency():
     # with many replications the harness recovers the truth closely
     truth = sim.make_ground_truth(40, seed=12)
-    report = sim.run_simulation(truth, [200], FitConfig(), seed=12, workers=4)
+    report = sim.run_simulation(truth, [200], seed=12)
     row = report.rows[0]
     assert row.avg_shd < 0.01
     assert row.rmse_lambda < 0.1
@@ -184,8 +183,8 @@ def test_large_m_consistency():
 
 def test_report_determinism_and_layout():
     truth = sim.make_ground_truth(30, seed=13)
-    r1 = sim.run_simulation(truth, [2, 4], FitConfig(), seed=13)
-    r2 = sim.run_simulation(truth, [2, 4], FitConfig(), seed=13)
+    r1 = sim.run_simulation(truth, [2, 4], seed=13)
+    r2 = sim.run_simulation(truth, [2, 4], seed=13)
     assert r1.to_tsv() == r2.to_tsv()
     lines = r1.to_tsv().strip().splitlines()
     assert lines[0] == "M\trmse_lambda\trmse_delta\tavg_shd"
@@ -220,7 +219,7 @@ def test_robustness_split_identical_halves_agree_exactly():
         pvalues=np.vstack([six.pvalues, six.pvalues]),
     )
     comp = sim.make_composite(six)
-    res = sim.robustness_split(data, comp, FitConfig(), seed=3)
+    res = sim.robustness_split(data, comp, seed=3)
     assert res.decision_agreement == 1.0
     assert res.mean_abs_diff_rho_plus == 0.0
     assert res.mean_abs_diff_rho_minus == 0.0
@@ -230,7 +229,7 @@ def test_robustness_split_disjoint_indices():
     truth = sim.make_ground_truth(20, seed=15)
     data = sim.generate_replications(truth, 8, seed=15)
     comp = sim.make_composite(data)
-    res = sim.robustness_split(data, comp, FitConfig(), seed=1)
+    res = sim.robustness_split(data, comp, seed=1)
     assert sorted(np.concatenate([res.indices_a, res.indices_b]).tolist()) == list(range(8))
     assert 0.0 <= res.decision_agreement <= 1.0
     assert res.fraction_compared >= 0.0

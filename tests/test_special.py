@@ -86,6 +86,17 @@ def test_t_upper_quantile_is_negated_quantile():
     np.testing.assert_allclose(sp.t_upper_quantile(ps, 122), -sp.t_quantile(ps, 122))
 
 
+def test_t_quantile_two_dimensional_input_with_bisection_fallback():
+    # p close to 0.5 can fail the Newton polish check (0.5000087249982931
+    # misses it by 6e-11) and go to the bisection fallback, which must index
+    # the 2-D array elementwise
+    ps = np.array([[0.49997282, 0.3, 0.5000087249982931], [0.2, 0.4, 0.6]])
+    got = sp.t_upper_quantile(ps, 122.0)
+    assert got.shape == (2, 3)
+    want = [[sp.t_upper_quantile(float(p), 122.0) for p in row] for row in ps]
+    np.testing.assert_array_equal(got, want)
+
+
 def test_t_pdf_log_cauchy_at_zero():
     assert abs(np.exp(sp.t_pdf_log(0.0, 1)) - 1.0 / np.pi) < 1e-15
 

@@ -6,7 +6,7 @@ import pytest
 from certmap import certainty as ct
 from certmap import simulate as sim
 from certmap import thresholding as th
-from certmap.fit import FitConfig, fit_volume
+from certmap.fit import fit_volume
 
 from oracles import bh_reject_bruteforce
 
@@ -143,7 +143,7 @@ def test_overlap_matrix_twelve_maps_pair_count():
 def test_frontier_thresholding_degenerate_and_boundary():
     truth = sim.make_ground_truth(5, seed=1)
     data = sim.generate_replications(truth, 4, seed=1)
-    fits = fit_volume(data, FitConfig())
+    fits = fit_volume(data)
     comp = np.full(5, 0.5)
     # all-zero thresholds: empty map
     m = th.threshold_with_frontier(fits, comp, 122.0, taus=np.zeros(5))
@@ -159,7 +159,7 @@ def test_frontier_thresholding_monotone_transform_invariance():
     truth = sim.make_ground_truth(30, seed=23)
     data = sim.generate_replications(truth, 6, seed=23)
     comp = sim.make_composite(data)
-    fits = fit_volume(data, FitConfig())
+    fits = fit_volume(data)
     taus = np.linspace(0.01, 0.6, 30)
     base = th.threshold_with_frontier(fits, comp, 122.0, taus=taus)
     warped = th.threshold_with_frontier(fits, np.sqrt(comp), 122.0, taus=np.sqrt(taus))
@@ -170,7 +170,7 @@ def test_frontier_thresholding_matches_certainty_taus():
     truth = sim.make_ground_truth(40, seed=2)
     data = sim.generate_replications(truth, 6, seed=2)
     comp = sim.make_composite(data)
-    fits = fit_volume(data, FitConfig())
+    fits = fit_volume(data)
     maps = ct.certainty_volume(fits, 122.0, tau_source="frontier")
     with_taus = th.threshold_with_frontier(fits, comp, 122.0, taus=maps.tau)
     recomputed = th.threshold_with_frontier(fits, comp, 122.0)
@@ -189,7 +189,7 @@ def test_frontier_contains_bh_on_synthetic_trials():
         truth = sim.make_ground_truth(250, seed=s)
         data = sim.generate_replications(truth, 12, seed=s)
         comp = sim.make_composite(data)
-        fits = fit_volume(data, FitConfig(), workers=4)
+        fits = fit_volume(data)
         front = th.threshold_with_frontier(fits, comp, 122.0)
         bh = th.bh_fdr(comp, 0.05, dims=truth.dims, mask=truth.mask)
         hits += int(np.all(front.decisions | ~bh.decisions))
