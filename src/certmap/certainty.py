@@ -11,9 +11,22 @@ For a voxel declared active when its p-value falls at or below tau:
 
 The frontier's maximizer is the voxel's optimal threshold. Because the t
 family has a monotone likelihood ratio, an interior maximizer is the unique
-root of lam * ratio(tau) = 1 - lam, found by bisection on the quantile
+root of lam * ratio(tau) = 1 - lam, found by bisection on the statistic
 scale. The per-voxel ROC curve is summarized by its area, the average of
 power over all sizes.
+
+Every function takes one voxel (floats, a MixtureParams of floats) or many
+(arrays, a MixtureParams of arrays) and runs the same array code either way;
+certainty_volume makes one call per stage over the whole mask.
+
+Conditioning: power(tau) is computed as 1 - F(x), with F the non-central t
+CDF, and rho_minus uses 1 - power(tau); both carry an absolute error of
+about 1e-16, not a relative one. Where either is tiny, its relative error,
+and that of the certainty built on it, grows in proportion: rho_plus as
+tau -> 0, where power(tau) -> 0, and rho_minus at lam near 1, where the
+frontier threshold moves toward 1 and 1 - power(tau) becomes tiny next to
+a tiny (1 - lam)(1 - tau). Such values stay inside [0, 1] but can move by
+far more than 1e-12 between two equally accurate evaluations of F.
 """
 
 from __future__ import annotations
@@ -50,118 +63,128 @@ _TAU_EDGE = 1e-10
 
 
 def _check_tau_open(tau):
-    tau = float(tau)
-    if not (0.0 < tau < 1.0):
+    tau = np.asarray(tau, dtype=np.float64)
+    bad = ~((tau > 0.0) & (tau < 1.0))
+    if bad.any():
         raise ValueError(
             f"tau must lie strictly inside (0, 1); the conditioning event is "
-            f"degenerate at {tau!r}"
+            f"degenerate at {float(tau[bad].flat[0])!r}"
         )
     return tau
 
 
+def _float_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def rho_plus(tau, params, nu):
-    """True-activation certainty at threshold tau."""
+    """True-activation certainty at threshold tau.
+
+    tau broadcasts against params' lam and delta, which may be floats or
+    arrays over voxels.
+    """
     tau = _check_tau_open(tau)
-    pw = power(tau, params.delta, nu)
     lam = params.lam
-    denom = (1.0 - lam) * tau + lam * pw
-    if denom == 0.0:
-        return 0.0
-    return lam * pw / denom
+    num = lam * power(tau, params.delta, nu)
+    denom = (1.0 - lam) * tau + num
+    out = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom != 0.0)
+    return _float_or_array(out)
 
 
 def rho_minus(tau, params, nu):
-    """True-inactivation certainty at threshold tau."""
+    """True-inactivation certainty at threshold tau; broadcasts like rho_plus."""
     tau = _check_tau_open(tau)
-    pw = power(tau, params.delta, nu)
     lam = params.lam
-    denom = (1.0 - lam) * (1.0 - tau) + lam * (1.0 - pw)
-    if denom == 0.0:
-        return 0.0
-    return (1.0 - lam) * (1.0 - tau) / denom
+    pw = power(tau, params.delta, nu)
+    num = (1.0 - lam) * (1.0 - tau)
+    denom = num + lam * (1.0 - pw)
+    out = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom != 0.0)
+    return _float_or_array(out)
 
 
 def frontier(tau, params, nu):
-    """Probability of a correct activation decision at threshold tau."""
-    arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    pw = np.atleast_1d(power(arr, params.delta, nu))
-    out = (1.0 - params.lam) * (1.0 - arr) + params.lam * pw
-    return float(out[0]) if np.ndim(tau) == 0 else out
+    """Probability of a correct activation decision at threshold tau;
+    broadcasts like rho_plus, with tau in [0, 1]."""
+    tau = np.asarray(tau, dtype=np.float64)
+    lam = params.lam
+    return _float_or_array((1.0 - lam) * (1.0 - tau) + lam * power(tau, params.delta, nu))
+
+
+# log((1 - lam) / lam) through the C library's log1p and log, elementwise;
+# numpy's vectorized log can differ from it in the last bit, and tau* is the
+# root of logratio(x) = this target bisected to the last bit of x
+_log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
 def _optimal_threshold_impl(params, nu, moment=None):
-    """Returns (tau_star, frontier_value, degenerate_flag)."""
-    lam = params.lam
-    if lam <= 0.0:
-        return 0.0, 1.0 - lam, False
-    if lam >= 1.0:
-        return 1.0, lam, False
-    target = math.log1p(-lam) - math.log(lam)
+    """Returns (tau_star, frontier_value, degenerate_flag), one entry per
+    voxel of params (1-D arrays).
 
-    def logratio_at(x):
-        return float(special.nct_t_logratio(x, nu, params.delta, moment=moment))
+    All voxels bisect in lockstep on the statistic scale: logratio is
+    increasing in x and tau is decreasing in x, so the frontier's stationary
+    point is the unique root of logratio(x) = log((1 - lam) / lam).
+    """
+    lam = np.atleast_1d(params.lam).ravel()
+    delta = np.atleast_1d(params.delta).ravel()
+    tau = np.where(lam >= 1.0, 1.0, 0.0)
+    degenerate = np.zeros(lam.size, dtype=bool)
+    inner = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+    if inner.size:
+        d = delta[inner]
+        target = _log_odds(lam[inner]).astype(np.float64)
 
-    # bisection on the statistic scale: logratio is increasing in x, tau is
-    # decreasing in x, so the frontier's stationary point is the unique root
-    x_hi = float(special.t_upper_quantile(_TAU_EDGE, nu))
-    x_lo = -x_hi
-    g_hi = logratio_at(x_hi) - target
-    g_lo = logratio_at(x_lo) - target
-    if abs(g_hi - g_lo) < 1e-12:
-        # flat frontier (delta ~ 0): tie-break at tau = 0, flagged
-        if abs(g_hi) < 1e-12:
-            return 0.0, float(frontier(0.0, params, nu)), True
-        # constant-ratio case: the frontier slope -(1-lam) + lam*r keeps one
-        # sign, so the maximizer sits at the matching boundary
-        if g_hi > 0.0:
-            return 1.0, float(frontier(1.0, params, nu)), False
-        return 0.0, float(frontier(0.0, params, nu)), False
-    if g_hi <= 0.0:
-        # even the tightest threshold has too small a ratio
-        return 0.0, float(frontier(0.0, params, nu)), False
-    if g_lo >= 0.0:
-        return 1.0, float(frontier(1.0, params, nu)), False
-    lo, hi = x_lo, x_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if logratio_at(mid) - target > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    x_star = 0.5 * (lo + hi)
-    tau_star = float(special.t_sf(x_star, nu))
-    return tau_star, float(frontier(tau_star, params, nu)), False
+        def g(x, sel=slice(None)):
+            return special.nct_t_logratio(x, nu, d[sel], moment=moment) - target[sel]
 
-
-def _optimal_thresholds(lam, delta, nu):
-    """_optimal_threshold_impl over voxel arrays: (tau*, frontier value,
-    degenerate flag), one entry per voxel."""
-    moment = special.get_moment_table(nu)
-    n = len(lam)
-    tau = np.empty(n)
-    value = np.empty(n)
-    degenerate = np.zeros(n, dtype=bool)
-    for i in range(n):
-        params = MixtureParams(float(lam[i]), float(delta[i]))
-        tau[i], value[i], degenerate[i] = _optimal_threshold_impl(params, nu, moment=moment)
-    return tau, value, degenerate
+        x_hi = float(special.t_upper_quantile(_TAU_EDGE, nu))
+        x_lo = -x_hi
+        g_hi = g(x_hi)
+        g_lo = g(x_lo)
+        flat = np.abs(g_hi - g_lo) < 1e-12
+        # flat frontier (delta ~ 0): tie-break at tau = 0, flagged; in the
+        # constant-ratio case the frontier slope -(1-lam) + lam*r keeps one
+        # sign, so the maximizer sits at the matching boundary. Otherwise tau
+        # is 0 when even the tightest threshold has too small a ratio, and 1
+        # when even the loosest has too large a one.
+        tie = flat & (np.abs(g_hi) < 1e-12)
+        degenerate[inner[tie]] = True
+        t_in = np.where((g_hi > 0.0) & ~tie & (flat | (g_lo >= 0.0)), 1.0, 0.0)
+        search = np.flatnonzero(~flat & (g_hi > 0.0) & (g_lo < 0.0))
+        lo = np.full(search.size, x_lo)
+        hi = np.full(search.size, x_hi)
+        live = np.arange(search.size)
+        for _ in range(200):
+            mid = 0.5 * (lo[live] + hi[live])
+            moving = (mid != lo[live]) & (mid != hi[live])
+            live, mid = live[moving], mid[moving]
+            if not live.size:
+                break
+            up = g(mid, search[live]) > 0.0
+            hi[live[up]] = mid[up]
+            lo[live[~up]] = mid[~up]
+        t_in[search] = special.t_sf(0.5 * (lo + hi), nu)
+        tau[inner] = t_in
+    return tau, frontier(tau, MixtureParams(lam, delta), nu), degenerate
 
 
 def optimal_threshold(params, nu):
     """Threshold maximizing the frontier, with the achieved frontier value.
 
     Boundary maximizers come back as exactly 0 or 1; a completely flat
-    frontier (delta = 0, lam = 1/2) ties to 0.
+    frontier (delta = 0, lam = 1/2) ties to 0. Floats for a MixtureParams of
+    floats, arrays of its shape for one of arrays.
     """
     tau, value, _ = _optimal_threshold_impl(params, nu)
-    return tau, value
+    shape = np.shape(params.lam)
+    return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
 
 
 _AUC_ORDER = 64
 _AUC_WMIN = -36.0  # integrate tau (and 1 - tau) down to e^-36
 _AUC_CACHE = {}
+# voxels per nct_cdf call: 2 * _AUC_ORDER nodes each, so the sweep state of
+# one call stays a few megabytes however large the volume
+_AUC_BLOCK = 256
 
 
 def _auc_nodes(nu):
@@ -182,15 +205,22 @@ def auc(delta, nu):
 
     Fixed-order Gauss-Legendre on the log scale of each endpoint's distance
     (power is non-analytic at both tau = 0 and tau = 1); 0.5 at delta = 0,
-    increasing toward 1.
+    increasing toward 1. delta may be a float or an array over voxels.
     """
-    delta = float(delta)
+    deltas = np.asarray(delta, dtype=np.float64)
+    flat = deltas.ravel()
     x, w = _auc_nodes(nu)
-    pw_left = 1.0 - np.atleast_1d(special.nct_cdf(x, nu, delta))
-    # -x is the upper quantile of 1 - tau; this piece integrates 1 - power
-    # over log(1 - tau)
-    q_right = np.atleast_1d(special.nct_cdf(-x, nu, delta))
-    return float(np.clip(w @ pw_left + 0.5 - w @ q_right, 0.0, 1.0))
+    # -x is the upper quantile of 1 - tau; the second half of each row
+    # integrates 1 - power over log(1 - tau)
+    nodes = np.concatenate([x, -x])
+    out = np.empty(flat.size)
+    for a in range(0, flat.size, _AUC_BLOCK):
+        cdf = special.nct_cdf(nodes, nu, flat[a:a + _AUC_BLOCK, None])
+        pw_left = 1.0 - cdf[:, :_AUC_ORDER]
+        q_right = cdf[:, _AUC_ORDER:]
+        area = np.sum(w * pw_left, axis=1) + 0.5 - np.sum(w * q_right, axis=1)
+        out[a:a + _AUC_BLOCK] = np.clip(area, 0.0, 1.0)
+    return _float_or_array(out.reshape(deltas.shape))
 
 
 @dataclass(frozen=True)
@@ -239,10 +269,12 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     or an externally supplied threshold: a scalar or an array over the mask
     (e.g. the realized FDR cutoff). Externally supplied thresholds outside
     (0, 1) flag the voxel instead of failing the volume; rho at a frontier
-    boundary threshold is evaluated in the one-sided limit.
+    boundary threshold is evaluated in the one-sided limit. Each stage is one
+    array call over the mask.
     """
     n = fits.n_masked
     nu = float(nu)
+    params = MixtureParams(fits.lam, fits.delta)
     flags = np.zeros(n, dtype=np.int32)
     flags[~np.asarray(fits.converged, dtype=bool)] |= FLAG_NOT_CONVERGED
 
@@ -250,7 +282,8 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        out_tau, out_fv, degenerate = _optimal_thresholds(fits.lam, fits.delta, nu)
+        out_tau, out_fv, degenerate = _optimal_threshold_impl(
+            params, nu, moment=special.get_moment_table(nu))
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
@@ -264,17 +297,14 @@ def certainty_volume(fits, nu, tau_source="frontier"):
 
     out_rp = np.full(n, math.nan)
     out_rm = np.full(n, math.nan)
-    out_auc = np.empty(n)
-    for i in range(n):
-        params = MixtureParams(float(fits.lam[i]), float(fits.delta[i]))
-        out_auc[i] = auc(params.delta, nu)
-        if bad[i]:
-            continue
-        tau_eval = min(max(float(out_tau[i]), _TAU_EDGE), 1.0 - _TAU_EDGE)
-        out_rp[i] = rho_plus(tau_eval, params, nu)
-        out_rm[i] = rho_minus(tau_eval, params, nu)
+    good = ~bad
+    if good.any():
+        usable = MixtureParams(params.lam[good], params.delta[good])
+        tau_eval = np.clip(out_tau[good], _TAU_EDGE, 1.0 - _TAU_EDGE)
+        out_rp[good] = rho_plus(tau_eval, usable, nu)
+        out_rm[good] = rho_minus(tau_eval, usable, nu)
         if not from_frontier:
-            out_fv[i] = float(frontier(float(out_tau[i]), params, nu))
+            out_fv[good] = frontier(out_tau[good], usable, nu)
 
     return CertaintyMaps(
         dims=fits.dims,
@@ -283,7 +313,7 @@ def certainty_volume(fits, nu, tau_source="frontier"):
         rho_plus=out_rp,
         rho_minus=out_rm,
         frontier_value=out_fv,
-        auc=out_auc,
+        auc=np.atleast_1d(auc(params.delta, nu)),
         flags=flags,
         tau_source="frontier" if from_frontier else "external",
     )

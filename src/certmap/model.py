@@ -45,24 +45,30 @@ CLAMP_HI = 1.0 - 1e-12
 class MixtureParams:
     """Mixture weight lam in [0, 1] and non-centrality delta >= 0.
 
-    The estimation layer restricts itself to lam in (0, 1) and delta > 1;
-    the model itself is happy on the closed boundaries (lam = 0 or 1 are the
-    pure-uniform and pure-alternative cases, delta = 0 collapses onto the
-    central t).
+    Either two floats for one voxel or two arrays of one shape, one entry
+    per voxel; the certainty functions take both forms. The estimation layer
+    restricts itself to lam in (0, 1) and delta > 1; the model itself is
+    happy on the closed boundaries (lam = 0 or 1 are the pure-uniform and
+    pure-alternative cases, delta = 0 collapses onto the central t).
     """
 
-    lam: float
-    delta: float
+    lam: float | np.ndarray
+    delta: float | np.ndarray
 
     def __post_init__(self):
-        lam = float(self.lam)
-        delta = float(self.delta)
-        if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-            raise ValueError(f"lam must be in [0, 1], got {self.lam!r}")
-        if not (math.isfinite(delta) and delta >= 0.0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "delta", delta)
+        lam = np.asarray(self.lam, dtype=np.float64)
+        delta = np.asarray(self.delta, dtype=np.float64)
+        if lam.shape != delta.shape:
+            raise ValueError(f"lam and delta shapes differ: {lam.shape} vs {delta.shape}")
+        bad = ~(np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0))
+        if bad.any():
+            raise ValueError(f"lam must be in [0, 1], got {float(lam[bad].flat[0])!r}")
+        bad = ~(np.isfinite(delta) & (delta >= 0.0))
+        if bad.any():
+            raise ValueError(f"delta must be finite and >= 0, got {float(delta[bad].flat[0])!r}")
+        scalar = lam.ndim == 0
+        object.__setattr__(self, "lam", float(lam) if scalar else lam)
+        object.__setattr__(self, "delta", float(delta) if scalar else delta)
 
 
 class PValueVector:
@@ -108,20 +114,19 @@ def power(tau, delta, nu):
     """P(p <= tau) for a truly active voxel: the power of the one-sided test
     of size tau against effect delta on nu dof.
 
-    Vectorized over tau; tau = 0 and 1 map to exactly 0 and 1.
+    Broadcasts tau against delta; tau = 0 and 1 map to exactly 0 and 1.
+    Scalar tau and delta give a float.
     """
-    delta = float(delta)
-    arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
+    taus, deltas = np.broadcast_arrays(np.asarray(tau, dtype=np.float64),
+                                       np.asarray(delta, dtype=np.float64))
+    if np.isnan(taus).any() or (taus < 0.0).any() or (taus > 1.0).any():
         raise ValueError("tau must lie in [0, 1]")
-    out = np.empty_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    if interior.any():
-        x = special.t_upper_quantile(arr[interior], nu)
-        out[interior] = 1.0 - np.atleast_1d(special.nct_cdf(x, nu, delta))
-    return float(out[0]) if np.ndim(tau) == 0 else out
+    interior = (taus > 0.0) & (taus < 1.0)
+    # sizes 0 and 1 are evaluated at x = 0 and then set exactly; keeping the
+    # whole broadcast lets nct_cdf share work along axes where delta is fixed
+    x = special.t_upper_quantile(np.where(interior, taus, 0.5), nu)
+    out = np.where(interior, 1.0 - special.nct_cdf(x, nu, deltas), taus)
+    return float(out) if out.ndim == 0 else out
 
 
 def mixture_logpdf(p, params, nu, moment=None):

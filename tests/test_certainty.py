@@ -1,12 +1,17 @@
 """Tests for certainty measures, threshold optimization and AUC."""
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certmap import certainty as ct
 from certmap import simulate as sim
 from certmap.fit import fit_volume
 from certmap.model import MixtureParams, power
+from certmap.special import get_moment_table
 
 from oracles import auc_quad
 
@@ -216,3 +221,86 @@ def test_mean_rho_minus_floor_on_default_scenario():
     assert np.mean(maps.rho_minus) >= 0.62
     usable = (maps.flags & ct.FLAG_DEGENERATE_TAU) == 0
     assert np.mean(maps.rho_minus[usable]) >= 0.62
+
+
+def test_array_entries_match_scalar_entries_bit_for_bit():
+    rng = np.random.default_rng(8)
+    lam = rng.uniform(0.0, 1.0, 12)
+    delta = rng.uniform(0.0, 8.0, 12)
+    tau = rng.uniform(1e-6, 0.999, 12)
+    prm = MixtureParams(lam, delta)
+    rp = ct.rho_plus(tau, prm, 122.0)
+    rm = ct.rho_minus(tau, prm, 122.0)
+    fv = ct.frontier(tau, prm, 122.0)
+    pw = power(tau, delta, 122.0)
+    area = ct.auc(delta, 122.0)
+    t_star, value = ct.optimal_threshold(prm, 122.0)
+    for i in range(lam.size):
+        one = MixtureParams(float(lam[i]), float(delta[i]))
+        assert rp[i] == ct.rho_plus(float(tau[i]), one, 122.0)
+        assert rm[i] == ct.rho_minus(float(tau[i]), one, 122.0)
+        assert fv[i] == ct.frontier(float(tau[i]), one, 122.0)
+        assert pw[i] == power(float(tau[i]), float(delta[i]), 122.0)
+        assert area[i] == ct.auc(float(delta[i]), 122.0)
+        assert (t_star[i], value[i]) == ct.optimal_threshold(one, 122.0)
+
+
+def test_mixture_params_arrays_validated():
+    prm = MixtureParams(np.array([0.1, 0.9]), np.array([2.0, 3.0]))
+    assert prm.lam.shape == (2,)
+    assert isinstance(MixtureParams(0.3, 2.0).lam, float)
+    with pytest.raises(ValueError):
+        MixtureParams(np.array([0.1, 1.5]), np.array([2.0, 3.0]))
+    with pytest.raises(ValueError):
+        MixtureParams(np.array([0.1, 0.2]), np.array([2.0, np.nan]))
+    with pytest.raises(ValueError):
+        MixtureParams(np.array([0.1, 0.2]), np.array([2.0]))
+    with pytest.raises(ValueError):
+        ct.rho_plus(np.array([0.05, 0.0]), prm, 122.0)
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_unit, st.floats(0.0, 60.0), st.floats(1e-9, 1.0 - 1e-9)),
+                min_size=1, max_size=12))
+def test_rho_in_unit_interval_over_random_arrays(cells):
+    lam, delta, tau = (np.array(v) for v in zip(*cells))
+    prm = MixtureParams(lam, delta)
+    for rho in (ct.rho_plus(tau, prm, 122.0), ct.rho_minus(tau, prm, 122.0)):
+        assert rho.shape == lam.shape
+        assert np.all((rho >= 0.0) & (rho <= 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 12.0), st.lists(_unit, min_size=2, max_size=10))
+def test_tau_star_nondecreasing_in_lambda(delta, lams):
+    # the target log((1 - lam) / lam) falls as lam rises and the log-ratio
+    # rises in x, so the root moves to smaller x: a larger tau
+    lam = np.sort(np.array(lams))
+    prm = MixtureParams(lam, np.full(lam.size, delta))
+    tau, _, _ = ct._optimal_threshold_impl(prm, 122.0, moment=get_moment_table(122.0))
+    assert np.all(np.diff(tau) >= 0.0)
+
+
+def _block(fits, a, b):
+    return types.SimpleNamespace(
+        n_masked=b - a, lam=fits.lam[a:b], delta=fits.delta[a:b],
+        converged=fits.converged[a:b], dims=(b - a, 1, 1),
+        mask=np.ones((1, 1, b - a), dtype=bool))
+
+
+@pytest.mark.parametrize("tau_source", ["frontier", 0.03])
+def test_certainty_volume_mask_split_is_invisible(tau_source):
+    # a caller that splits the mask into blocks gets the same voxels bit for
+    # bit as one call on the whole mask
+    _, _, fits = _maps_fixture(n=24)
+    whole = ct.certainty_volume(fits, 122.0, tau_source=tau_source)
+    for n_blocks in (1, 2, 4, fits.n_masked):
+        bounds = np.linspace(0, fits.n_masked, n_blocks + 1).astype(int)
+        parts = [ct.certainty_volume(_block(fits, a, b), 122.0, tau_source=tau_source)
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        for field in ("tau", "rho_plus", "rho_minus", "frontier_value", "auc", "flags"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))

@@ -233,3 +233,52 @@ def test_robustness_split_disjoint_indices():
     assert sorted(np.concatenate([res.indices_a, res.indices_b]).tolist()) == list(range(8))
     assert 0.0 <= res.decision_agreement <= 1.0
     assert res.fraction_compared >= 0.0
+
+
+def test_robustness_split_rejects_mixed_dofs():
+    # certainty takes one dof per half; with four distinct dofs every half
+    # mixes two, and the error names them
+    from certmap.volume import ReplicationSet
+    truth = sim.make_ground_truth(6, seed=16)
+    four = sim.generate_replications(truth, 4, seed=16)
+    data = ReplicationSet(dims=four.dims, mask=four.mask.copy(),
+                          dofs=[122.0, 60.0, 30.0, 10.0], pvalues=four.pvalues)
+    comp = sim.make_composite(data)
+    idx_a, _ = sim.split_replications(4, seed=2)
+    named = ", ".join(repr(v) for v in sorted(data.dofs[idx_a].tolist()))
+    with pytest.raises(ValueError, match=rf"mix dofs \[{named}\]"):
+        sim.robustness_split(data, comp, seed=2)
+
+
+def test_hellinger_arrays_match_scalar_calls():
+    rng = np.random.default_rng(30)
+    lam_a, lam_b = rng.uniform(0.0, 1.0, (2, 9))
+    delta_a, delta_b = rng.uniform(1.0, 50.0, (2, 9))
+    lam_b[0], delta_b[0] = lam_a[0], delta_a[0]
+    got = sim.hellinger_sq(MixtureParams(lam_a, delta_a), MixtureParams(lam_b, delta_b), 122.0)
+    assert got[0] == 0.0
+    for i in range(9):
+        want = sim.hellinger_sq(MixtureParams(float(lam_a[i]), float(delta_a[i])),
+                                MixtureParams(float(lam_b[i]), float(delta_b[i])), 122.0)
+        assert got[i] == want
+
+
+def test_score_fit_mask_split_is_invisible():
+    # per-voxel distances do not depend on which other voxels share the
+    # call, so any split of the mask gives the same voxels bit for bit
+    truth = sim.make_ground_truth(40, scenario="dense", seed=17)
+    rng = np.random.default_rng(17)
+    lam_hat = np.clip(truth.lam + rng.normal(0.0, 0.1, 40), 0.0, 1.0)
+    delta_hat = np.clip(truth.delta + rng.normal(0.0, 1.0, 40), 1.0, 50.0)
+    moment = sim.special.get_moment_table(truth.nu)
+    fitted = MixtureParams(lam_hat, delta_hat)
+    true = MixtureParams(truth.lam, truth.delta)
+    whole = sim.hellinger_sq(fitted, true, truth.nu, moment=moment)
+    assert sim.score_fit(lam_hat, delta_hat, truth)[2] == float(np.mean(whole))
+    for n_blocks in (1, 2, 4, 40):
+        bounds = np.linspace(0, 40, n_blocks + 1).astype(int)
+        parts = [sim.hellinger_sq(MixtureParams(lam_hat[a:b], delta_hat[a:b]),
+                                  MixtureParams(truth.lam[a:b], truth.delta[a:b]),
+                                  truth.nu, moment=moment)
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)

@@ -245,3 +245,66 @@ def test_dof_validation():
             sp.t_cdf(0.0, bad)
     with pytest.raises(ValueError):
         sp.nct_cdf(0.0, 10, np.inf)
+
+
+def _t_cdf_mpmath(x, nu):
+    # F(x) = 1/2 + x Gamma((nu+1)/2) 2F1(1/2, (nu+1)/2; 3/2; -x^2/nu)
+    #            / (sqrt(pi nu) Gamma(nu/2)), at 50 digits
+    import mpmath as mp
+    with mp.workdps(50):
+        x, nu = mp.mpf(x), mp.mpf(nu)
+        half = mp.mpf(1) / 2
+        val = half + x * mp.gamma((nu + 1) / 2) * mp.hyp2f1(
+            half, (nu + 1) / 2, 3 * half, -x * x / nu) / (mp.sqrt(mp.pi * nu) * mp.gamma(nu / 2))
+        return float(val)
+
+
+def test_t_cdf_near_zero_matches_mpmath():
+    # I_z(nu/2, 1/2) with z = nu / (nu + x^2) -> 1 loses the distance from
+    # 1/2 as x -> 0; near 0 the CDF must keep it to full precision
+    xs = np.geomspace(1e-12, 1e-3, 19)
+    xs = np.concatenate([xs, -xs, [0.0]])
+    for nu in (2.0, 10.0, 122.0):
+        got = sp.t_cdf(xs, nu)
+        want = np.array([_t_cdf_mpmath(x, nu) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_t_quantile_near_half_polishes_without_bisection(monkeypatch):
+    def no_fallback(p, nu):
+        raise AssertionError(f"bisection fallback reached at p = {p!r}")
+
+    monkeypatch.setattr(sp, "_bisect_quantile", no_fallback)
+    ps = np.random.default_rng(20).uniform(0.4999, 0.5001, 600)
+    t = sp.t_quantile(ps, 122.0)
+    assert np.max(np.abs(sp.t_cdf(t, 122.0) - ps)) <= 1e-11
+
+
+def test_nct_cdf_broadcasts_delta_bit_for_bit():
+    # one call over a grid of (x, delta) equals one call per delta and one
+    # call per element, whatever the layout of the broadcast
+    xs = np.concatenate([np.linspace(-10.0, 60.0, 29), [0.0, np.inf, -np.inf]])
+    deltas = np.array([0.0, 0.3, -0.3, 1.0, 1.0 + 1e-12, 3.0, 12.0, 50.0, 2000.0])
+    for nu in (2.0, 122.0):
+        grid = sp.nct_cdf(xs, nu, deltas[:, None])
+        assert grid.shape == (deltas.size, xs.size)
+        per_delta = np.array([sp.nct_cdf(xs, nu, d) for d in deltas])
+        np.testing.assert_array_equal(grid, per_delta)
+        flat = sp.nct_cdf(np.tile(xs, deltas.size), nu, np.repeat(deltas, xs.size))
+        np.testing.assert_array_equal(flat, grid.ravel())
+        for i, j in ((0, 3), (4, 10), (7, 20), (8, 5)):
+            assert sp.nct_cdf(float(xs[j]), nu, float(deltas[i])) == grid[i, j]
+    assert sp.nct_cdf(np.empty((0, 3)), 10.0, 1.0).shape == (0, 3)
+    with pytest.raises(ValueError):
+        sp.nct_cdf(1.0, 10.0, np.array([1.0, np.nan]))
+
+
+def test_nct_t_logratio_broadcasts_delta():
+    xs = np.linspace(-8.0, 8.0, 17)
+    deltas = np.array([0.0, 1.5, 6.0])
+    tab = sp.get_moment_table(122.0)
+    grid = sp.nct_t_logratio(xs, 122.0, deltas[:, None], moment=tab)
+    for i, d in enumerate(deltas):
+        np.testing.assert_array_equal(grid[i], sp.nct_t_logratio(xs, 122.0, d, moment=tab))
+    direct = sp.nct_t_logratio(xs[None, :], 10.0, deltas[:, None])
+    np.testing.assert_array_equal(direct[1], sp.nct_t_logratio(xs, 10.0, 1.5))
