@@ -116,7 +116,7 @@ def frontier(tau, params, nu):
 _log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
-def _optimal_threshold_impl(params, nu, moment=None):
+def _optimal_threshold_impl(params, nu):
     """Returns (tau_star, frontier_value, degenerate_flag), one entry per
     voxel of params (1-D arrays).
 
@@ -134,7 +134,7 @@ def _optimal_threshold_impl(params, nu, moment=None):
         target = _log_odds(lam[inner]).astype(np.float64)
 
         def g(x, sel=slice(None)):
-            return special.nct_t_logratio(x, nu, d[sel], moment=moment) - target[sel]
+            return special.nct_t_logratio(x, nu, d[sel]) - target[sel]
 
         x_hi = float(special.t_upper_quantile(_TAU_EDGE, nu))
         x_lo = -x_hi
@@ -269,7 +269,9 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     or an externally supplied threshold: a scalar or an array over the mask
     (e.g. the realized FDR cutoff). Externally supplied thresholds outside
     (0, 1) flag the voxel instead of failing the volume; rho at a frontier
-    boundary threshold is evaluated in the one-sided limit. Each stage is one
+    boundary threshold is evaluated in the one-sided limit. An FDR cutoff
+    with no rejections is 0.0: every voxel then carries FLAG_BAD_TAU, tau 0
+    and NaN rho_plus and rho_minus, and keeps its AUC. Each stage is one
     array call over the mask.
     """
     n = fits.n_masked
@@ -282,8 +284,7 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        out_tau, out_fv, degenerate = _optimal_threshold_impl(
-            params, nu, moment=special.get_moment_table(nu))
+        out_tau, out_fv, degenerate = _optimal_threshold_impl(params, nu)
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU

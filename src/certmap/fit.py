@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .model import PValueVector, clamp_pvalues
-from .special import get_moment_table
+from .model import PValueVector, _log_mixture, clamp_pvalues
 
 __all__ = [
     "VoxelFit",
@@ -86,27 +85,19 @@ class VolumeFit:
         )
 
 
-def _direction_cosines(pvalues, dofs):
-    """Per dof group: (c, table), c = x / sqrt(nu + x^2) of the upper
-    quantiles x, one row per voxel, sorted within each row."""
+def _quantile_groups(pvalues, dofs):
+    """Per dof group: (x, nu), x the upper quantiles of the group's p-values,
+    one row per voxel, sorted within each row."""
     groups = []
     for nu in np.unique(dofs):
-        # the table first: building it after the quantiles leaves the heap
-        # laid out so that the build peaks about 10 MB higher
-        tab = get_moment_table(nu)
         p = np.sort(pvalues[dofs == nu].T, axis=1)
-        x = special.t_upper_quantile(p, nu)
-        groups.append((x / np.hypot(math.sqrt(nu), x), tab))
+        groups.append((special.t_upper_quantile(p, nu), nu))
     return groups
 
 
 def _log_ratios(groups, delta):
     """log R_j(delta) for every (voxel, replication), delta one per voxel."""
-    d = delta[:, None]
-    parts = []
-    for c, tab in groups:
-        mu = d * c
-        parts.append(0.5 * (mu * mu - d * d) + tab(mu) - tab.at_zero)
+    parts = [special.nct_t_logratio(x, nu, delta[:, None]) for x, nu in groups]
     return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
@@ -149,9 +140,8 @@ def _lam_hat(logr, lam):
 
 
 def _loglik(logr, lam):
-    """Row sums of the log mixture density, as in model.mixture_logpdf."""
-    terms = np.logaddexp(np.log1p(-lam)[:, None], np.log(lam)[:, None] + logr)
-    return terms.sum(axis=1)
+    """Row sums of the log mixture density."""
+    return _log_mixture(lam[:, None], logr).sum(axis=1)
 
 
 def _profile(groups, v, lam0):
@@ -173,7 +163,7 @@ def _fit(pvalues, dofs):
 
     Returns (lam, delta, loglik) arrays over the N voxels.
     """
-    groups = _direction_cosines(pvalues, dofs)
+    groups = _quantile_groups(pvalues, dofs)
     n = pvalues.shape[1]
     best_f = np.full(n, -np.inf)
     best_v = np.full(n, _V_MIN)

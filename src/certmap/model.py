@@ -15,7 +15,6 @@ densities underflow far out in the tail, their ratio does not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,27 +128,31 @@ def power(tau, delta, nu):
     return float(out) if out.ndim == 0 else out
 
 
-def mixture_logpdf(p, params, nu, moment=None):
+@np.errstate(divide="ignore")  # log(0) = -inf for lam at 0 or 1
+def _log_mixture(lam, logratio):
+    """log(1 - lam + lam * exp(logratio)), elementwise with lam broadcast
+    against logratio; finite however large or small the ratio."""
+    return np.logaddexp(np.log1p(-lam), np.log(lam) + logratio)
+
+
+def mixture_logpdf(p, params, nu):
     """log of the mixture density at p in (0, 1).
 
     Computed as logaddexp(log(1-lam), log(lam) + logratio) so it stays finite
     for every clamped p even when the density ratio is astronomically large
-    or small. `moment` may carry a LogMomentTable for nu.
+    or small.
     """
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if np.isnan(arr).any() or (arr <= 0.0).any() or (arr >= 1.0).any():
         raise ValueError("p must lie strictly inside (0, 1)")
     x = np.atleast_1d(special.t_upper_quantile(arr, nu))
-    logratio = np.atleast_1d(special.nct_t_logratio(x, nu, params.delta, moment=moment))
-    with np.errstate(divide="ignore"):
-        out = np.logaddexp(math.log1p(-params.lam) if params.lam < 1.0 else -np.inf,
-                           (math.log(params.lam) if params.lam > 0.0 else -np.inf) + logratio)
+    out = _log_mixture(params.lam, special.nct_t_logratio(x, nu, params.delta))
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def mixture_pdf(p, params, nu, moment=None):
+def mixture_pdf(p, params, nu):
     """Mixture density of the observed p-value; bounded below by (1 - lam)."""
-    return np.exp(mixture_logpdf(p, params, nu, moment=moment))
+    return np.exp(mixture_logpdf(p, params, nu))
 
 
 def mixture_cdf(p, params, nu):
@@ -162,18 +165,13 @@ def mixture_cdf(p, params, nu):
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def voxel_loglik(pvals, params, moments=None):
+def voxel_loglik(pvals, params):
     """Log-likelihood of one voxel: sum over replications of the log mixture
-    density at (p_j, nu_j) under shared (lam, delta).
-
-    `moments` is an optional dict mapping dof -> LogMomentTable.
-    """
+    density at (p_j, nu_j) under shared (lam, delta)."""
     if not isinstance(pvals, PValueVector):
         raise TypeError("pvals must be a PValueVector")
     total = 0.0
     for nu in np.unique(pvals.dofs):
         sel = pvals.dofs == nu
-        moment = moments.get(float(nu)) if moments else None
-        total += float(np.sum(mixture_logpdf(pvals.values[sel], params, float(nu),
-                                             moment=moment)))
+        total += float(np.sum(mixture_logpdf(pvals.values[sel], params, float(nu))))
     return total

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from . import certainty, special
 from .fit import fit_volume
-from .model import CLAMP_HI, CLAMP_LO, MixtureParams
+from .model import CLAMP_HI, CLAMP_LO, MixtureParams, _log_mixture
 from .volume import ReplicationSet
 
 __all__ = [
@@ -181,7 +181,7 @@ _HELLINGER_GRID = np.concatenate([[0.0], 2.0 ** np.arange(0, 41)])
 _HELLINGER_BLOCK = 128
 
 
-def hellinger_sq(params_a, params_b, nu, moment=None):
+def hellinger_sq(params_a, params_b, nu):
     """Squared Hellinger distance between two mixture densities on (0, 1).
 
     params_a and params_b hold one voxel each, or arrays of one shape with
@@ -201,13 +201,12 @@ def hellinger_sq(params_a, params_b, nu, moment=None):
     differ = np.flatnonzero((lam_a != lam_b) | (delta_a != delta_b))
     for a in range(0, differ.size, _HELLINGER_BLOCK):
         k = differ[a:a + _HELLINGER_BLOCK]
-        out[k] = _hellinger_block(lam_a[k], delta_a[k], lam_b[k], delta_b[k], nu, moment)
+        out[k] = _hellinger_block(lam_a[k], delta_a[k], lam_b[k], delta_b[k], nu)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
-@np.errstate(divide="ignore")  # log(0) = -inf for lam at 0 or 1
-def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu, moment):
+def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu):
     n = lam_a.size
     nodes, weights = special._gauss_legendre(_HELLINGER_NODES)
 
@@ -246,9 +245,8 @@ def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu, moment):
     node_owner = np.repeat(owner, _HELLINGER_NODES)
 
     def sqrt_f(lam, delta):
-        logratio = special.nct_t_logratio(x, nu, delta[node_owner], moment=moment)
-        log_f = np.logaddexp(np.log1p(-lam)[node_owner], np.log(lam)[node_owner] + logratio)
-        return np.exp(0.5 * log_f)
+        logratio = special.nct_t_logratio(x, nu, delta[node_owner])
+        return np.exp(0.5 * _log_mixture(lam[node_owner], logratio))
 
     diff = sqrt_f(lam_a, delta_a) - sqrt_f(lam_b, delta_b)
     logpsi = special.t_pdf_log(x, nu)
@@ -294,7 +292,6 @@ def score_fit(lam_hat, delta_hat, truth):
         MixtureParams(lam_hat, delta_hat),
         MixtureParams(truth.lam, truth.delta),
         truth.nu,
-        moment=special.get_moment_table(truth.nu),
     )
     return rmse_l, rmse_d, float(np.mean(shd))
 

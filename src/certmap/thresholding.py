@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certainty, special
+from . import certainty
 from .model import MixtureParams
 
 __all__ = [
@@ -144,9 +144,7 @@ def threshold_with_frontier(fits, composite_pvals, nu, taus=None):
     if composite_pvals.size != fits.n_masked:
         raise ValueError("composite volume does not match the fitted mask")
     if taus is None:
-        taus = certainty._optimal_threshold_impl(
-            MixtureParams(fits.lam, fits.delta), float(nu),
-            moment=special.get_moment_table(nu))[0]
+        taus = certainty._optimal_threshold_impl(MixtureParams(fits.lam, fits.delta), float(nu))[0]
     else:
         taus = np.asarray(taus, dtype=np.float64)
         if taus.size != fits.n_masked:

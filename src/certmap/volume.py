@@ -176,6 +176,19 @@ def write_container(container, path):
         fh.write(payload)
 
 
+def _parse(name, text, convert):
+    """convert(text) for one header field, or a ContainerError naming it."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ContainerError(f"header field {name!r} cannot be parsed: {text!r}",
+                             offset=0) from None
+
+
+def _ints(text):
+    return [int(v) for v in text.split()]
+
+
 def read_container(path):
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -193,7 +206,7 @@ def read_container(path):
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise ContainerError(f"bad magic line {lines[0]!r}", offset=0)
-    if int(magic[1]) != VERSION:
+    if _parse("version", magic[1], int) != VERSION:
         raise ContainerError(f"unsupported format version {magic[1]}", offset=0)
 
     fields = {}
@@ -208,19 +221,20 @@ def read_container(path):
     if fields["endian"] != "little":
         raise ContainerError(f"unsupported endianness {fields['endian']!r}")
 
-    dims = tuple(int(v) for v in fields["dims"].split())
-    if len(dims) != 3:
-        raise ContainerError(f"dims must have 3 entries, got {fields['dims']!r}")
-    m = int(fields["m"])
-    dofs = np.array([float(v) for v in fields["dofs"].split()])
+    dims = tuple(_parse("dims", fields["dims"], _ints))
+    if len(dims) != 3 or min(dims) <= 0:
+        raise ContainerError(f"dims must be 3 positive integers, got {fields['dims']!r}")
+    m = _parse("m", fields["m"], int)
+    dofs = np.array(_parse("dofs", fields["dofs"], lambda t: [float(v) for v in t.split()]))
     mask_parts = fields["mask"].split()
     if not mask_parts or mask_parts[0] != "rle":
         raise ContainerError(f"unsupported mask encoding {fields['mask']!r}")
     nx, ny, nz = dims
-    mask = _rle_to_mask([int(v) for v in mask_parts[1:]], nx * ny * nz).reshape(nz, ny, nx)
+    runs = _parse("mask", " ".join(mask_parts[1:]), _ints)
+    mask = _rle_to_mask(runs, nx * ny * nz).reshape(nz, ny, nx)
 
     n_masked = int(np.count_nonzero(mask))
-    expected = int(fields["payload-bytes"])
+    expected = _parse("payload-bytes", fields["payload-bytes"], int)
     if expected != 8 * m * n_masked:
         raise ContainerError(
             f"declared payload-bytes {expected} does not match m={m} x "

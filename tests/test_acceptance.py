@@ -103,12 +103,11 @@ def test_criterion_03_sampler_ks():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_optimizer_grid_dominance():
-    from certmap.fit import fit_voxel, get_moment_table
+    from certmap.fit import fit_voxel
 
     rng = np.random.default_rng(104)
     lams = np.linspace(0.02, 0.98, 50)
     deltas = np.linspace(1.05, 12.0, 50)
-    moments = {122.0: get_moment_table(122.0)}
     violations = 0
     for k in range(20):
         lam_t = float(rng.uniform(0.05, 0.95))
@@ -119,7 +118,7 @@ def test_criterion_04_optimizer_grid_dominance():
         pv = md.PValueVector(draws, 122.0)
         fit = fit_voxel(pv)
         grid_best = max(
-            md.voxel_loglik(pv, md.MixtureParams(la, de), moments=moments)
+            md.voxel_loglik(pv, md.MixtureParams(la, de))
             for la in lams
             for de in deltas
         )

@@ -11,7 +11,7 @@ from certmap import certainty as ct
 from certmap import simulate as sim
 from certmap.fit import fit_volume
 from certmap.model import MixtureParams, power
-from certmap.special import get_moment_table
+from certmap.thresholding import threshold_with_frontier
 
 from oracles import auc_quad
 
@@ -280,7 +280,7 @@ def test_tau_star_nondecreasing_in_lambda(delta, lams):
     # rises in x, so the root moves to smaller x: a larger tau
     lam = np.sort(np.array(lams))
     prm = MixtureParams(lam, np.full(lam.size, delta))
-    tau, _, _ = ct._optimal_threshold_impl(prm, 122.0, moment=get_moment_table(122.0))
+    tau, _, _ = ct._optimal_threshold_impl(prm, 122.0)
     assert np.all(np.diff(tau) >= 0.0)
 
 
@@ -304,3 +304,22 @@ def test_certainty_volume_mask_split_is_invisible(tau_source):
         for field in ("tau", "rho_plus", "rho_minus", "frontier_value", "auc", "flags"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))
+
+
+def test_threshold_entry_points_agree_bit_for_bit():
+    # optimal_threshold, certainty_volume and threshold_with_frontier read the
+    # density ratio through one path, so their tau* agree to the last bit
+    rng = np.random.default_rng(43)
+    n = 256
+    lam = rng.uniform(0.0, 1.0, n)
+    delta = rng.uniform(0.0, 12.0, n)
+    tau, _ = ct.optimal_threshold(MixtureParams(lam, delta), 122.0)
+    fits = types.SimpleNamespace(
+        n_masked=n, lam=lam, delta=delta, converged=np.ones(n, dtype=bool),
+        dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool))
+    np.testing.assert_array_equal(ct.certainty_volume(fits, 122.0, "frontier").tau, tau)
+    # decisions composite <= tau* pin tau* exactly: true at tau itself, false
+    # one ulp above it
+    at = threshold_with_frontier(fits, tau, 122.0).decisions
+    above = threshold_with_frontier(fits, np.nextafter(tau, 2.0), 122.0).decisions
+    assert at.all() and not above.any()

@@ -107,6 +107,36 @@ def test_certainty_fdr_source_records_cutoff(fixture_volumes, tmp_path):
     assert cutoff == want
 
 
+def test_certainty_fdr_without_rejections(fixture_volumes, tmp_path):
+    # no composite p passes BH: the realized cutoff is 0, a threshold that
+    # declares nothing, so every voxel gets tau 0, NaN certainties and no
+    # activation, and the command still succeeds
+    reps, comp = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+    c = vol.read_container(comp)
+    null_comp = tmp_path / "null.vol"
+    vol.write_container(
+        vol.VolumeContainer(kind="pvalue", dims=c.dims, mask=c.mask, dofs=c.dofs,
+                            values=np.full_like(c.values, 0.9)),
+        null_comp,
+    )
+    rc = main([
+        "certainty", "--fits",
+        f"{tmp_path / 'f'}.lambda.vol,{tmp_path / 'f'}.delta.vol",
+        "--composite", str(null_comp), "--tau-source", "fdr:0.05",
+        "--out", str(tmp_path / "c"),
+    ])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+    assert manifest["config"]["realized_fdr_cutoff"] == 0.0
+    assert manifest["config"]["n_active"] == 0
+    out = {k: vol.read_container(tmp_path / f"c.{k}.vol").values[0]
+           for k in ("tau", "rho_plus", "rho_minus", "decision")}
+    assert np.all(out["tau"] == 0.0)
+    assert np.isnan(out["rho_plus"]).all() and np.isnan(out["rho_minus"]).all()
+    assert np.all(out["decision"] == 0.0)
+
+
 def test_frontier_contains_fdr_on_fixture(tmp_path):
     # single documented seed; the statistical multi-seed version lives in
     # test_thresholding

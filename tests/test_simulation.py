@@ -270,15 +270,14 @@ def test_score_fit_mask_split_is_invisible():
     rng = np.random.default_rng(17)
     lam_hat = np.clip(truth.lam + rng.normal(0.0, 0.1, 40), 0.0, 1.0)
     delta_hat = np.clip(truth.delta + rng.normal(0.0, 1.0, 40), 1.0, 50.0)
-    moment = sim.special.get_moment_table(truth.nu)
     fitted = MixtureParams(lam_hat, delta_hat)
     true = MixtureParams(truth.lam, truth.delta)
-    whole = sim.hellinger_sq(fitted, true, truth.nu, moment=moment)
+    whole = sim.hellinger_sq(fitted, true, truth.nu)
     assert sim.score_fit(lam_hat, delta_hat, truth)[2] == float(np.mean(whole))
     for n_blocks in (1, 2, 4, 40):
         bounds = np.linspace(0, 40, n_blocks + 1).astype(int)
         parts = [sim.hellinger_sq(MixtureParams(lam_hat[a:b], delta_hat[a:b]),
                                   MixtureParams(truth.lam[a:b], truth.delta[a:b]),
-                                  truth.nu, moment=moment)
+                                  truth.nu)
                  for a, b in zip(bounds[:-1], bounds[1:])]
         np.testing.assert_array_equal(np.concatenate(parts), whole)

@@ -231,12 +231,14 @@ def test_logratio_is_pdf_log_difference():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_log_moment_table_matches_direct():
-    tab = sp.LogMomentTable(122.0)
+@pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 10.0, 122.0, 1000.0])
+def test_log_moment_table_matches_direct(nu):
+    # every density ratio reads log M from this spline
+    tab = sp.LogMomentTable(nu)
     mus = np.linspace(-39.5, 39.5, 200)
-    np.testing.assert_allclose(tab(mus), sp.log_moment(122.0, mus), atol=1e-9)
+    np.testing.assert_allclose(tab(mus), sp.log_moment(nu, mus), rtol=0.0, atol=5e-11)
     # outside the spline range the table falls back to quadrature
-    assert tab(55.0) == sp.log_moment(122.0, 55.0)
+    assert tab(55.0) == sp.log_moment(nu, 55.0)
 
 
 def test_dof_validation():
@@ -302,9 +304,8 @@ def test_nct_cdf_broadcasts_delta_bit_for_bit():
 def test_nct_t_logratio_broadcasts_delta():
     xs = np.linspace(-8.0, 8.0, 17)
     deltas = np.array([0.0, 1.5, 6.0])
-    tab = sp.get_moment_table(122.0)
-    grid = sp.nct_t_logratio(xs, 122.0, deltas[:, None], moment=tab)
+    grid = sp.nct_t_logratio(xs, 122.0, deltas[:, None])
     for i, d in enumerate(deltas):
-        np.testing.assert_array_equal(grid[i], sp.nct_t_logratio(xs, 122.0, d, moment=tab))
+        np.testing.assert_array_equal(grid[i], sp.nct_t_logratio(xs, 122.0, d))
     direct = sp.nct_t_logratio(xs[None, :], 10.0, deltas[:, None])
     np.testing.assert_array_equal(direct[1], sp.nct_t_logratio(xs, 10.0, 1.5))

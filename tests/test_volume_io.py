@@ -79,6 +79,27 @@ def test_mask_dims_consistency_checked(tmp_path):
         vol.read_container(path)
 
 
+def test_damaged_container_reads_or_raises_container_error(tmp_path):
+    # every cut of the file and every single-bit flip of its header either
+    # reads or fails with a ContainerError, never with another exception
+    c = _container(seed=3, dims=(4, 3, 2), m=3, mask_frac=0.6)
+    path = tmp_path / "vol.bin"
+    vol.write_container(c, path)
+    raw = path.read_bytes()
+    damaged = [raw[:k] for k in range(len(raw))]
+    for i in range(raw.index(b"payload:\n") + len(b"payload:\n")):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            damaged.append(bytes(flipped))
+    for data in damaged:
+        path.write_bytes(data)
+        try:
+            vol.read_container(path)
+        except vol.ContainerError:
+            pass
+
+
 def test_masked_payload_length():
     c = _container(dims=(3, 1, 1), m=12, mask_frac=1.0)
     assert c.values.size == 36
