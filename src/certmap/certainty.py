@@ -77,6 +77,14 @@ def _float_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
+def _rho(tau, lam, pw):
+    """(rho_plus, rho_minus) at threshold tau from the power pw at tau."""
+    num_p, num_m = lam * pw, (1.0 - lam) * (1.0 - tau)
+    den_p, den_m = (1.0 - lam) * tau + num_p, num_m + lam * (1.0 - pw)
+    return tuple(np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
+                 for num, den in ((num_p, den_p), (num_m, den_m)))
+
+
 def rho_plus(tau, params, nu):
     """True-activation certainty at threshold tau.
 
@@ -84,22 +92,13 @@ def rho_plus(tau, params, nu):
     arrays over voxels.
     """
     tau = _check_tau_open(tau)
-    lam = params.lam
-    num = lam * power(tau, params.delta, nu)
-    denom = (1.0 - lam) * tau + num
-    out = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom != 0.0)
-    return _float_or_array(out)
+    return _float_or_array(_rho(tau, params.lam, power(tau, params.delta, nu))[0])
 
 
 def rho_minus(tau, params, nu):
     """True-inactivation certainty at threshold tau; broadcasts like rho_plus."""
     tau = _check_tau_open(tau)
-    lam = params.lam
-    pw = power(tau, params.delta, nu)
-    num = (1.0 - lam) * (1.0 - tau)
-    denom = num + lam * (1.0 - pw)
-    out = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom != 0.0)
-    return _float_or_array(out)
+    return _float_or_array(_rho(tau, params.lam, power(tau, params.delta, nu))[1])
 
 
 def frontier(tau, params, nu):
@@ -302,8 +301,8 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if good.any():
         usable = MixtureParams(params.lam[good], params.delta[good])
         tau_eval = np.clip(out_tau[good], _TAU_EDGE, 1.0 - _TAU_EDGE)
-        out_rp[good] = rho_plus(tau_eval, usable, nu)
-        out_rm[good] = rho_minus(tau_eval, usable, nu)
+        out_rp[good], out_rm[good] = _rho(tau_eval, usable.lam,
+                                          power(tau_eval, usable.delta, nu))
         if not from_frontier:
             out_fv[good] = frontier(out_tau[good], usable, nu)
 

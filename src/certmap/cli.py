@@ -88,6 +88,12 @@ def _param_container(kind, fits_or_maps, values, dof):
     )
 
 
+def _two_paths(text, option):
+    if text.count(",") != 1:
+        raise ValueError(f"{option} needs two comma-separated paths, got {text!r}")
+    return text.split(",")
+
+
 def cmd_fit(args):
     t0 = time.time()
     data = volume.ReplicationSet.from_container(volume.read_container(args.input))
@@ -124,7 +130,7 @@ def cmd_fit(args):
 
 def cmd_certainty(args):
     t0 = time.time()
-    lam_path, delta_path = args.fits.split(",")
+    lam_path, delta_path = _two_paths(args.fits, "--fits")
     lam_c = volume.read_container(lam_path)
     delta_c = volume.read_container(delta_path)
     comp_c = volume.read_container(args.composite)
@@ -282,9 +288,7 @@ def cmd_convert(args):
     if c.kind != "tstat":
         raise volume.ContainerError(f"expected a tstat volume, got {c.kind}")
     dofs = np.full(c.m, args.dof) if args.dof is not None else c.dofs
-    pvals = np.vstack([
-        np.atleast_1d(volume.t_to_p(c.values[j], dofs[j])) for j in range(c.m)
-    ])
+    pvals = np.vstack([volume.t_to_p(v, dof) for v, dof in zip(c.values, dofs)])
     out_c = volume.VolumeContainer(
         kind="pvalue", dims=c.dims, mask=c.mask, dofs=dofs, values=pvals
     )
@@ -300,9 +304,9 @@ def cmd_convert(args):
 
 def cmd_split(args):
     t0 = time.time()
+    out_a, out_b = _two_paths(args.out, "--out")
     data = volume.ReplicationSet.from_container(volume.read_container(args.input))
     idx_a, idx_b = simulate.split_replications(data.m, args.seed)
-    out_a, out_b = args.out.split(",")
     _write_volume(data.subset(idx_a).to_container(), out_a)
     _write_volume(data.subset(idx_b).to_container(), out_b)
     manifest_path = f"{out_a}.manifest.json"
@@ -325,15 +329,14 @@ def cmd_dump(args):
     nx, ny, nz = c.dims
     if not (0 <= args.slice < nz):
         raise volume.ContainerError(f"slice {args.slice} outside 0..{nz - 1}")
+    if not (0 <= args.rep < c.m):
+        raise volume.ContainerError(f"rep {args.rep} outside 0..{c.m - 1}")
     full = np.full((nz, ny, nx), np.nan)
-    full[c.mask] = c.values[min(args.rep, c.m - 1)]
-    plane = full[args.slice]
+    full[c.mask] = c.values[args.rep]
     with open(args.out, "w") as fh:
         fh.write("x\ty\tvalue\n")
-        for y in range(ny):
-            for x in range(nx):
-                if c.mask[args.slice, y, x]:
-                    fh.write(f"{x}\t{y}\t{plane[y, x]!r}\n")
+        for y, x in zip(*np.nonzero(c.mask[args.slice])):
+            fh.write(f"{x}\t{y}\t{float(full[args.slice, y, x])!r}\n")
     manifest_path = f"{args.out}.manifest.json"
     _write_manifest(
         manifest_path, "dump", {"input": args.input}, {"table": args.out},

@@ -14,11 +14,11 @@ in v that includes both ends, then golden-section search in the grid cell
 around each voxel's best grid point. The result is never worse than the
 best grid point.
 
-Every step runs on all masked voxels at once, as arrays with one row per
-voxel. Each voxel's p-values are sorted within their dof group before any
-sum, so a fit is invariant to the order of the replications, and no row's
-arithmetic depends on the other rows: a voxel fits the same, bit for bit,
-whatever else is in the volume.
+Every step runs on all masked voxels at once (the lam solve on those still
+moving), as arrays with one row per voxel. Each voxel's p-values are sorted
+within their dof group before any sum, so a fit is invariant to the order of
+the replications, and no row's arithmetic depends on the other rows: a voxel
+fits the same, bit for bit, whatever else is in the volume.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def _lam_hat(logr, lam):
     With q = min(R, 1) and r = min(1/R, 1), the slope term is
     (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
     overflow however large R is; minus the sum of its squares is the second
-    derivative. Steps that leave the bracket are replaced by bisection, and
-    a row stops moving once a step changes it by less than 1e-15 relative,
-    so each row's result depends on that row alone.
+    derivative. Steps that leave the bracket are replaced by bisection. Only
+    rows still moving take a step; a row stops once a step changes it by
+    less than 1e-15 relative, so each row's result depends on that row alone.
     """
     q = np.exp(np.minimum(logr, 0.0))
     r = np.exp(-np.maximum(logr, 0.0))
@@ -120,23 +120,24 @@ def _lam_hat(logr, lam):
         t = dq / (r + lam[:, None] * dq)
         return t.sum(axis=1), (t * t).sum(axis=1)
 
-    n = logr.shape[0]
-    lo = np.full(n, _LAM_EPS)
-    hi = np.full(n, 1.0 - _LAM_EPS)
-    at_lo = slope(lo)[0] <= 0.0
-    at_hi = slope(hi)[0] >= 0.0
-    moving = ~(at_lo | at_hi)
+    at_lo = slope(np.full(len(logr), _LAM_EPS))[0] <= 0.0
+    at_hi = slope(np.full(len(logr), 1.0 - _LAM_EPS))[0] >= 0.0
+    lam = np.where(at_lo, _LAM_EPS, np.where(at_hi, 1.0 - _LAM_EPS, lam))
+    live = np.flatnonzero(~(at_lo | at_hi))
+    lo, hi = np.full(live.size, _LAM_EPS), np.full(live.size, 1.0 - _LAM_EPS)
+    x, dq, r = lam[live], dq[live], r[live]
     for _ in range(_NEWTON_STEPS):
-        if not moving.any():
+        if not live.size:
             break
-        g, h = slope(lam)
-        lo = np.where(g > 0.0, lam, lo)
-        hi = np.where(g < 0.0, lam, hi)
-        new = lam + np.divide(g, h, out=np.zeros(n), where=h > 0.0)
+        g, h = slope(x)
+        lo = np.where(g > 0.0, x, lo)
+        hi = np.where(g < 0.0, x, hi)
+        new = x + np.divide(g, h, out=np.zeros(x.size), where=h > 0.0)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        moving &= np.abs(new - lam) > 1e-15 * lam
-        lam = np.where(moving, new, lam)
-    return np.where(at_lo, _LAM_EPS, np.where(at_hi, 1.0 - _LAM_EPS, lam))
+        moving = np.abs(new - x) > 1e-15 * x
+        live, lo, hi, x, dq, r = (a[moving] for a in (live, lo, hi, new, dq, r))
+        lam[live] = x
+    return lam
 
 
 def _loglik(logr, lam):

@@ -92,25 +92,26 @@ def make_ground_truth(n_voxels, scenario="default", seed=0):
     n = int(n_voxels)
     if n <= 0:
         raise ValueError("n_voxels must be positive")
-    weights = np.array([s[0] for s in spec["strata"]])
-    raw = weights * n
+    strata = np.array(spec["strata"])
+    raw = strata[:, 0] * n
     counts = np.floor(raw).astype(int)
-    remainder = n - counts.sum()
     order = np.argsort(-(raw - counts), kind="stable")
-    for k in range(remainder):
-        counts[order[k]] += 1
+    counts[order[:n - counts.sum()]] += 1
 
-    labels = np.repeat(np.arange(len(counts)), counts)
-    rng = _rng(seed, _TAG_TRUTH)
-    labels = labels[rng.permutation(n)]
-    lam = np.array([spec["strata"][k][1] for k in labels])
-    delta = np.array([spec["strata"][k][2] for k in labels])
-    dims = (n, 1, 1)
-    mask = np.ones((1, 1, n), dtype=bool)
+    labels = np.repeat(np.arange(len(counts)), counts)[_rng(seed, _TAG_TRUTH).permutation(n)]
     return GroundTruthField(
-        dims=dims, mask=mask, lam=lam, delta=delta,
+        dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool),
+        lam=strata[labels, 1], delta=strata[labels, 2],
         scenario=scenario, seed=int(seed), nu=float(spec["nu"]),
     )
+
+
+def _pvalues(params, nu, u, unif, z, chi):
+    """The sampler's transform of its four variates, which params
+    broadcasts against: the upper-tail p of the t draw (z + delta) /
+    sqrt(chi / nu) where u < lam, else unif; clamped."""
+    p = np.where(u < params.lam, special.t_sf((z + params.delta) / np.sqrt(chi / nu), nu), unif)
+    return np.clip(p, CLAMP_LO, CLAMP_HI)
 
 
 def sample_pvalue(params, nu, rng, size=None):
@@ -120,38 +121,32 @@ def sample_pvalue(params, nu, rng, size=None):
     A fixed number of variates is consumed per sample regardless of the
     component, so streams stay aligned across parameter values.
     """
-    n = 1 if size is None else int(size)
-    u = rng.random(n)
-    unif = rng.random(n)
-    z = rng.standard_normal(n)
-    chi = rng.chisquare(float(nu), n)
-    t = (z + params.delta) / np.sqrt(chi / float(nu))
-    p_alt = np.atleast_1d(special.t_sf(t, float(nu)))
-    p = np.where(u < params.lam, p_alt, unif)
-    p = np.clip(p, CLAMP_LO, CLAMP_HI)
+    n, nu = 1 if size is None else int(size), float(nu)
+    p = _pvalues(params, nu, rng.random(n), rng.random(n), rng.standard_normal(n),
+                 rng.chisquare(nu, n))
     return float(p[0]) if size is None else p
 
 
 def generate_replications(truth, m, seed):
     """M replicated p-value planes for every masked voxel.
 
-    Each (voxel, replication) cell draws from its own Philox stream keyed by
-    (seed, voxel, replication), so any sub-volume is independent of how much
-    else was generated.
+    Each (voxel, replication) cell draws sample_pvalue's four variates from
+    its own Philox stream keyed by (seed, voxel, replication), so any
+    sub-volume is independent of how much else was generated; one call of
+    the sampler's transform then maps them all. seed None means truth.seed.
     """
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = truth.n_masked
-    pvalues = np.empty((m, n))
-    for i in range(n):
-        params = MixtureParams(float(truth.lam[i]), float(truth.delta[i]))
+    variates = np.empty((4, m, truth.n_masked))
+    for i in range(truth.n_masked):
         for j in range(m):
             rng = _rng(truth.seed if seed is None else seed, _TAG_REPS, i, j)
-            pvalues[j, i] = sample_pvalue(params, truth.nu, rng)
+            variates[:, j, i] = (rng.random(), rng.random(), rng.standard_normal(),
+                                 rng.chisquare(truth.nu))
     return ReplicationSet(
-        dims=truth.dims, mask=truth.mask.copy(),
-        dofs=np.full(m, truth.nu), pvalues=pvalues,
+        dims=truth.dims, mask=truth.mask.copy(), dofs=np.full(m, truth.nu),
+        pvalues=_pvalues(MixtureParams(truth.lam, truth.delta), truth.nu, *variates),
     )
 
 

@@ -277,11 +277,37 @@ def test_split_reproducible_and_complementary(fixture_volumes, tmp_path):
 
 def test_dump_slice(fixture_volumes, tmp_path):
     reps, _ = fixture_volumes
-    assert main(["dump", "--input", str(reps), "--slice", "0",
+    assert main(["dump", "--input", str(reps), "--slice", "0", "--rep", "2",
                  "--out", str(tmp_path / "d.tsv")]) == 0
     lines = (tmp_path / "d.tsv").read_text().strip().splitlines()
     assert lines[0] == "x\ty\tvalue"
     assert len(lines) == 17
+    # every value is a plain float literal equal to the container's value
+    c = vol.read_container(reps)
+    full = np.full((1, 4, 4), np.nan)
+    full[c.mask] = c.values[2]
+    for line in lines[1:]:
+        x, y, value = line.split("\t")
+        assert float(value) == full[0, int(y), int(x)]
+
+
+@pytest.mark.parametrize("rep", ["3", "-1"])
+def test_dump_rejects_rep_outside_range(fixture_volumes, tmp_path, capsys, rep):
+    reps, _ = fixture_volumes
+    assert main(["dump", "--input", str(reps), "--slice", "0", "--rep", rep,
+                 "--out", str(tmp_path / "d.tsv")]) == 2
+    assert "outside 0..2" in capsys.readouterr().err
+    assert not (tmp_path / "d.tsv").exists()
+
+
+def test_path_pairs_need_two_paths(fixture_volumes, tmp_path, capsys):
+    reps, comp = fixture_volumes
+    assert main(["certainty", "--fits", str(reps), "--composite", str(comp),
+                 "--out", str(tmp_path / "c")]) == 2
+    assert "--fits needs two comma-separated paths" in capsys.readouterr().err
+    assert main(["split", "--input", str(reps), "--seed", "1",
+                 "--out", str(tmp_path / "a.vol")]) == 2
+    assert "--out needs two comma-separated paths" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -139,6 +139,22 @@ def test_generation_keyed_per_voxel_and_replication():
     assert not np.array_equal(other.pvalues, d12.pvalues)
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_generation_cell_is_sampler_on_keyed_stream(m):
+    # cell (j, i) is the scalar sampler on the stream keyed (seed, 1, i, j)
+    lam, delta = np.meshgrid([0.0, 0.3, 1.0], [0.0, 2.0, 50.0])
+    truth = sim.GroundTruthField(
+        dims=(9, 1, 1), mask=np.ones((1, 1, 9), dtype=bool),
+        lam=lam.ravel(), delta=delta.ravel(), scenario="default", seed=21, nu=122.0,
+    )
+    for seed, key in ((8, 8), (None, 21)):
+        data = sim.generate_replications(truth, m, seed)
+        expect = [[sim.sample_pvalue(MixtureParams(lam_i, delta_i), 122.0, sim._rng(key, 1, i, j))
+                   for i, (lam_i, delta_i) in enumerate(zip(truth.lam, truth.delta))]
+                  for j in range(m)]
+        np.testing.assert_array_equal(data.pvalues, np.array(expect))
+
+
 def test_composite_null_uniformity():
     # a truth field with lam=0 everywhere: pooled p-values are U(0,1)
     truth = sim.make_ground_truth(4000, seed=6)
