@@ -19,14 +19,12 @@ Every function takes one voxel (floats, a MixtureParams of floats) or many
 (arrays, a MixtureParams of arrays) and runs the same array code either way;
 certainty_volume makes one call per stage over the whole mask.
 
-Conditioning: power(tau) is computed as 1 - F(x), with F the non-central t
-CDF, and rho_minus uses 1 - power(tau); both carry an absolute error of
-about 1e-16, not a relative one. Where either is tiny, its relative error,
-and that of the certainty built on it, grows in proportion: rho_plus as
-tau -> 0, where power(tau) -> 0, and rho_minus at lam near 1, where the
-frontier threshold moves toward 1 and 1 - power(tau) becomes tiny next to
-a tiny (1 - lam)(1 - tau). Such values stay inside [0, 1] but can move by
-far more than 1e-12 between two equally accurate evaluations of F.
+Conditioning: rho_plus reads power(tau) and rho_minus reads 1 - power(tau),
+and both are tail masses of the non-central t taken from the side on which
+they are small (special.nct_tails), so each keeps its relative accuracy,
+about 1e-11, however small it is: rho_plus as tau -> 0, and rho_minus at
+lam near 1, where the frontier threshold moves toward 1 and 1 - power(tau)
+sits next to a tiny (1 - lam)(1 - tau).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .model import MixtureParams, power
+from .model import MixtureParams, _power_tails, power
 
 __all__ = [
     "FLAG_OK",
@@ -77,10 +75,11 @@ def _float_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _rho(tau, lam, pw):
-    """(rho_plus, rho_minus) at threshold tau from the power pw at tau."""
+def _rho(tau, lam, pw, q):
+    """(rho_plus, rho_minus) at threshold tau from the power pw at tau and
+    its complement q = 1 - pw."""
     num_p, num_m = lam * pw, (1.0 - lam) * (1.0 - tau)
-    den_p, den_m = (1.0 - lam) * tau + num_p, num_m + lam * (1.0 - pw)
+    den_p, den_m = (1.0 - lam) * tau + num_p, num_m + lam * q
     return tuple(np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
                  for num, den in ((num_p, den_p), (num_m, den_m)))
 
@@ -92,13 +91,13 @@ def rho_plus(tau, params, nu):
     arrays over voxels.
     """
     tau = _check_tau_open(tau)
-    return _float_or_array(_rho(tau, params.lam, power(tau, params.delta, nu))[0])
+    return _float_or_array(_rho(tau, params.lam, *_power_tails(tau, params.delta, nu))[0])
 
 
 def rho_minus(tau, params, nu):
     """True-inactivation certainty at threshold tau; broadcasts like rho_plus."""
     tau = _check_tau_open(tau)
-    return _float_or_array(_rho(tau, params.lam, power(tau, params.delta, nu))[1])
+    return _float_or_array(_rho(tau, params.lam, *_power_tails(tau, params.delta, nu))[1])
 
 
 def frontier(tau, params, nu):
@@ -116,8 +115,9 @@ _log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
 def _optimal_threshold_impl(params, nu):
-    """Returns (tau_star, frontier_value, degenerate_flag), one entry per
-    voxel of params (1-D arrays).
+    """Returns (tau_star, (power, 1 - power), degenerate_flag), one entry per
+    voxel of params (1-D arrays). The power pair is taken at tau_star
+    clipped into [_TAU_EDGE, 1 - _TAU_EDGE], where the certainties are read.
 
     All voxels bisect in lockstep on the statistic scale: logratio is
     increasing in x and tau is decreasing in x, so the frontier's stationary
@@ -163,7 +163,13 @@ def _optimal_threshold_impl(params, nu):
             lo[live[~up]] = mid[~up]
         t_in[search] = special.t_sf(0.5 * (lo + hi), nu)
         tau[inner] = t_in
-    return tau, frontier(tau, MixtureParams(lam, delta), nu), degenerate
+    return tau, _power_tails(np.clip(tau, _TAU_EDGE, 1.0 - _TAU_EDGE), delta, nu), degenerate
+
+
+def _frontier_value(tau, lam, pw):
+    """The frontier at tau from the power pw at tau clipped into
+    [_TAU_EDGE, 1 - _TAU_EDGE]; at sizes 0 and 1 the power is the size."""
+    return (1.0 - lam) * (1.0 - tau) + lam * np.where((tau > 0.0) & (tau < 1.0), pw, tau)
 
 
 def optimal_threshold(params, nu):
@@ -173,52 +179,54 @@ def optimal_threshold(params, nu):
     frontier (delta = 0, lam = 1/2) ties to 0. Floats for a MixtureParams of
     floats, arrays of its shape for one of arrays.
     """
-    tau, value, _ = _optimal_threshold_impl(params, nu)
+    tau, (pw, _), _ = _optimal_threshold_impl(params, nu)
+    value = _frontier_value(tau, np.ravel(params.lam), pw)
     shape = np.shape(params.lam)
     return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
 
 
-_AUC_ORDER = 64
-_AUC_WMIN = -36.0  # integrate tau (and 1 - tau) down to e^-36
+# 64 nodes leave 2.6e-6 at nu = 1, delta = 50; at 128 scipy's Legendre
+# weights themselves are off by about 1e-13
+_AUC_ORDER = 100
+_AUC_WMIN = -36.0  # integrate s (and 1 - s) down to e^-36
 _AUC_CACHE = {}
-# voxels per nct_cdf call: 2 * _AUC_ORDER nodes each, so the sweep state of
-# one call stays a few megabytes however large the volume
-_AUC_BLOCK = 256
+_AUC_BLOCK = 256  # voxels per nct_t_logratio call
 
 
 def _auc_nodes(nu):
+    """Statistic-scale nodes x(s) for s in (e^-36, 1/2] and the weights of
+    s R ds at s and at 1 - s, whose node is -x."""
     key = float(nu)
     if key not in _AUC_CACHE:
         nodes, weights = special._gauss_legendre(_AUC_ORDER)
         w_hi = math.log(0.5)
         scale = 0.5 * (w_hi - _AUC_WMIN)
-        w = _AUC_WMIN + scale * (nodes + 1.0)
-        tau = np.exp(w)
-        x = np.atleast_1d(special.t_upper_quantile(tau, key))
-        _AUC_CACHE[key] = (x, scale * weights * tau)
+        s = np.exp(_AUC_WMIN + scale * (nodes + 1.0))
+        x = np.atleast_1d(special.t_upper_quantile(s, key))
+        ds = scale * weights * s
+        _AUC_CACHE[key] = (x, ds * s, ds * (1.0 - s))
     return _AUC_CACHE[key]
 
 
 def auc(delta, nu):
     """Area under the voxel's ROC curve: integral of power over all sizes.
 
-    Fixed-order Gauss-Legendre on the log scale of each endpoint's distance
-    (power is non-analytic at both tau = 0 and tau = 1); 0.5 at delta = 0,
-    increasing toward 1. delta may be a float or an array over voxels.
+    By parts this is 1 - integral_0^1 s R(x(s)) ds, with R(x(s)) the
+    density ratio at the size-s critical value, i.e. the p-value density of
+    an active voxel. Fixed-order Gauss-Legendre on the log scale of each
+    endpoint's distance (the integrand is non-analytic at both s = 0 and
+    s = 1); 0.5 at delta = 0, increasing toward 1. delta may be a float or
+    an array over voxels.
     """
     deltas = np.asarray(delta, dtype=np.float64)
     flat = deltas.ravel()
-    x, w = _auc_nodes(nu)
-    # -x is the upper quantile of 1 - tau; the second half of each row
-    # integrates 1 - power over log(1 - tau)
-    nodes = np.concatenate([x, -x])
+    x, w_left, w_right = _auc_nodes(nu)
     out = np.empty(flat.size)
     for a in range(0, flat.size, _AUC_BLOCK):
-        cdf = special.nct_cdf(nodes, nu, flat[a:a + _AUC_BLOCK, None])
-        pw_left = 1.0 - cdf[:, :_AUC_ORDER]
-        q_right = cdf[:, _AUC_ORDER:]
-        area = np.sum(w * pw_left, axis=1) + 0.5 - np.sum(w * q_right, axis=1)
-        out[a:a + _AUC_BLOCK] = np.clip(area, 0.0, 1.0)
+        d = flat[a:a + _AUC_BLOCK, None]
+        mass = (np.sum(w_left * np.exp(special.nct_t_logratio(x, nu, d)), axis=1)
+                + np.sum(w_right * np.exp(special.nct_t_logratio(-x, nu, d)), axis=1))
+        out[a:a + _AUC_BLOCK] = np.clip(1.0 - mass, 0.0, 1.0)
     return _float_or_array(out.reshape(deltas.shape))
 
 
@@ -283,7 +291,8 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        out_tau, out_fv, degenerate = _optimal_threshold_impl(params, nu)
+        out_tau, tails, degenerate = _optimal_threshold_impl(params, nu)
+        out_fv = _frontier_value(out_tau, params.lam, tails[0])
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
@@ -301,10 +310,12 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if good.any():
         usable = MixtureParams(params.lam[good], params.delta[good])
         tau_eval = np.clip(out_tau[good], _TAU_EDGE, 1.0 - _TAU_EDGE)
-        out_rp[good], out_rm[good] = _rho(tau_eval, usable.lam,
-                                          power(tau_eval, usable.delta, nu))
-        if not from_frontier:
+        if from_frontier:
+            pw, q = tails[0][good], tails[1][good]
+        else:
+            pw, q = _power_tails(tau_eval, usable.delta, nu)
             out_fv[good] = frontier(out_tau[good], usable, nu)
+        out_rp[good], out_rm[good] = _rho(tau_eval, usable.lam, pw, q)
 
     return CertaintyMaps(
         dims=fits.dims,

@@ -116,16 +116,29 @@ def power(tau, delta, nu):
     Broadcasts tau against delta; tau = 0 and 1 map to exactly 0 and 1.
     Scalar tau and delta give a float.
     """
+    return _power_tails(tau, delta, nu)[0]
+
+
+def _power_tails(tau, delta, nu):
+    """(power, 1 - power) at tau, broadcast like power.
+
+    They are the upper and lower masses of the non-central t at the size-tau
+    critical value, so the smaller of the two keeps its relative accuracy
+    however small it is. Sizes 0 and 1 are set exactly, without a tail
+    integral.
+    """
     taus, deltas = np.broadcast_arrays(np.asarray(tau, dtype=np.float64),
                                        np.asarray(delta, dtype=np.float64))
     if np.isnan(taus).any() or (taus < 0.0).any() or (taus > 1.0).any():
         raise ValueError("tau must lie in [0, 1]")
-    interior = (taus > 0.0) & (taus < 1.0)
-    # sizes 0 and 1 are evaluated at x = 0 and then set exactly; keeping the
-    # whole broadcast lets nct_cdf share work along axes where delta is fixed
-    x = special.t_upper_quantile(np.where(interior, taus, 0.5), nu)
-    out = np.where(interior, 1.0 - special.nct_cdf(x, nu, deltas), taus)
-    return float(out) if out.ndim == 0 else out
+    pw, q = taus.copy(), np.array(1.0 - taus)
+    inner = (taus > 0.0) & (taus < 1.0)
+    if inner.any():
+        x = special.t_upper_quantile(taus[inner], nu)
+        q[inner], pw[inner] = special.nct_tails(x, nu, deltas[inner])
+    if pw.ndim == 0:
+        return float(pw), float(q)
+    return pw, q
 
 
 @np.errstate(divide="ignore")  # log(0) = -inf for lam at 0 or 1

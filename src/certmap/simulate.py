@@ -205,18 +205,23 @@ def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu):
     n = lam_a.size
     nodes, weights = special._gauss_legendre(_HELLINGER_NODES)
 
-    # choose truncation points from the exact truncated mass:
-    # (sqrt fa - sqrt fb)^2 <= fa + fb, whose tail integrals against psi_nu
-    # are central plus non-central tail masses; one nct_cdf call covers both
-    # densities at every candidate on both sides
+    # truncation points from density values alone: the integrand
+    # (sqrt fa - sqrt fb)^2 psi_nu is at most g = psi_nu (fa + fb), which is
+    # monotone on (-inf, 0] and on [max(delta_a, delta_b), inf), so there the
+    # panel between edges e_j and 2 e_j carries at most e_j g(e_j), and the
+    # mass past edge e_k at most the sum of those terms over j >= k
     cand = _HELLINGER_GRID[1:]
     nc = cand.size
-    cdf = special.nct_cdf(np.concatenate([cand, -cand]), nu,
-                          np.concatenate([delta_a, delta_b])[:, None])
-    central = special.t_sf(cand, nu)
-    mass_hi = (2.0 * central + lam_a[:, None] * (1.0 - cdf[:n, :nc])
-               + lam_b[:, None] * (1.0 - cdf[n:, :nc]))
-    mass_lo = 2.0 * central + lam_a[:, None] * cdf[:n, nc:] + lam_b[:, None] * cdf[n:, nc:]
+    xs = np.concatenate([cand, -cand])
+    logpsi = special.t_pdf_log(xs, nu)
+
+    def psi_f(lam, delta):
+        return np.exp(logpsi + _log_mixture(lam[:, None], special.nct_t_logratio(xs, nu, delta[:, None])))
+
+    g = psi_f(lam_a, delta_a) + psi_f(lam_b, delta_b)
+    past = np.cumsum((cand * g.reshape(n, 2, nc))[:, :, ::-1], axis=2)[:, :, ::-1]
+    mass_hi = np.where(cand >= np.maximum(delta_a, delta_b)[:, None], past[:, 0], np.inf)
+    mass_lo = past[:, 1]
 
     def last_panel(mass):
         below = mass < 5e-10

@@ -1,4 +1,5 @@
-"""Student-t family kernel: central and non-central CDFs, log-densities, quantiles.
+"""Student-t family kernel: central and non-central CDFs, tail masses,
+log-densities, quantiles.
 
 All functions are pure and vectorized over the primary argument; scalar input
 gives scalar output. The non-central density is evaluated entirely in log
@@ -11,10 +12,11 @@ The non-central machinery rests on one integral,
 
 computed in log space by Gauss-Legendre quadrature after the substitution
 s = e^v (the integrand is then entire, with a single Laplace peak) and
-cached per nu as a cubic spline in mu. The non-central t density at x
-factors through M with mu = delta * x / sqrt(nu + x^2), which keeps every
-tail sign combination cancellation-free; both density functions read M from
-that spline.
+cached per nu as a cubic spline in mu over |mu| <= 50. The non-central t
+density at x factors through M with mu = delta * x / sqrt(nu + x^2), which
+keeps every tail sign combination cancellation-free; the density, the
+density ratio and the tail masses (nct_tails, and nct_cdf through it) all
+read M from that spline.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "t_quantile",
     "t_upper_quantile",
     "nct_cdf",
+    "nct_tails",
     "nct_pdf_log",
     "nct_t_logratio",
     "log_moment",
@@ -80,10 +83,15 @@ def t_cdf(x, nu):
     if fin.any():
         xf = arr[fin]
         with np.errstate(over="ignore"):
-            x2 = xf * xf  # overflow is benign: z -> 0
+            x2 = xf * xf  # overflow is benign: such |x| take the branch below
         central = x2 < 1.0
         half = 0.5 * sc.betainc(np.where(central, 0.5, 0.5 * nu), np.where(central, 0.5 * nu, 0.5),
                                 np.where(central, x2, nu) / (nu + x2))
+        # beyond 1e150, z = nu / (nu + x^2) falls below the normal range;
+        # there I_z(nu/2, 1/2) = z^(nu/2) / ((nu/2) B(nu/2, 1/2)) to O(z)
+        big = np.abs(xf) > 1e150
+        log_z = math.log(nu) - 2.0 * np.log(np.abs(xf[big]))
+        half[big] = 0.5 * np.exp(0.5 * nu * log_z - math.log(0.5 * nu) - sc.betaln(0.5 * nu, 0.5))
         below = np.where(central, 0.5 + half, 1.0 - half)  # P(t <= |x|)
         above = np.where(central, 0.5 - half, half)  # P(t > |x|)
         out[fin] = np.where(xf >= 0.0, below, above)
@@ -131,8 +139,15 @@ def t_quantile(p, nu):
         raise ValueError("t_quantile: p must lie strictly inside (0, 1)")
     q = np.minimum(arr, 1.0 - arr)
     z = sc.betaincinv(0.5 * nu, 0.5, 2.0 * q)
-    with np.errstate(divide="ignore"):
-        t = np.sqrt(nu * (1.0 - z) / z)
+    tiny = z < 1e-300
+    t = np.sqrt(nu * (1.0 - z) / np.where(tiny, 1.0, z))
+    # below the normal range z loses its digits or underflows to 0: invert
+    # t_cdf's leading term beyond 1e150 in log space instead
+    log_t = 0.5 * math.log(nu) - (np.log(2.0 * q[tiny]) + math.log(0.5 * nu)
+                                  + sc.betaln(0.5 * nu, 0.5)) / nu
+    if (log_t >= math.log(np.finfo(np.float64).max)).any():
+        raise ValueError(f"t_quantile: |t| exceeds float64 for p this close to 0 or 1 at {nu!r} dof")
+    t[tiny] = np.exp(log_t)
     t = np.where(arr < 0.5, -t, t)
     # polish: two Newton steps against our own CDF
     for _ in range(2):
@@ -241,15 +256,18 @@ def log_moment(nu, mu):
     return _shaped(out, shape)
 
 
-_TABLE_MU_MAX = 40.0
-_TABLE_KNOTS = 4001
+# |mu| < delta, so the table spans every non-centrality up to fit.DELTA_CAP
+_TABLE_MU_MAX = 50.0
+_TABLE_KNOTS = 5001
+# knots per log_moment call: it holds knots x 640 doubles per array
+_TABLE_BLOCK = 250
 
 
 class LogMomentTable:
     """Cubic-spline cache of log_moment(nu, .), through which every
     non-central density and density ratio reads log M.
 
-    Inside |mu| <= 40 the spline is within 5e-11 (absolute) of direct
+    Inside |mu| <= 50 the spline is within 5e-11 (absolute) of direct
     quadrature for nu from 1 to 1000; outside, calls fall back to direct
     quadrature.
     """
@@ -257,10 +275,7 @@ class LogMomentTable:
     def __init__(self, nu):
         self.nu = _as_dof(nu)
         grid = np.linspace(-_TABLE_MU_MAX, _TABLE_MU_MAX, _TABLE_KNOTS)
-        # a few hundred knots per call: log_moment holds knots x 640 doubles
-        # per array, 20 MB each for the whole grid at once
-        values = np.concatenate([log_moment(self.nu, g) for g in np.array_split(grid, 16)])
-        self._spline = CubicSpline(grid, values)
+        self._spline = CubicSpline(grid, _log_moment_blocks(self.nu, grid))
         self.at_zero = float(log_moment(self.nu, 0.0))
 
     def __call__(self, mu):
@@ -271,8 +286,14 @@ class LogMomentTable:
         else:
             out = np.empty_like(arr)
             out[inside] = self._spline(arr[inside])
-            out[~inside] = np.atleast_1d(log_moment(self.nu, arr[~inside]))
+            out[~inside] = _log_moment_blocks(self.nu, arr[~inside])
         return _unwrap(out, scalar)
+
+
+def _log_moment_blocks(nu, mu):
+    """log_moment over the 1-D array mu, a few hundred values per call."""
+    blocks = np.array_split(mu, -(-mu.size // _TABLE_BLOCK))
+    return np.concatenate([log_moment(nu, b) for b in blocks])
 
 
 _MOMENT_TABLES = {}
@@ -310,56 +331,97 @@ def nct_t_logratio(x, nu, delta):
         raise ValueError("nct_t_logratio: non-centrality must be finite")
     if not np.isfinite(xs).all():
         raise ValueError("nct_t_logratio: x must be finite")
-    mu = ds * (xs / np.hypot(math.sqrt(nu), xs))
-    tab = get_moment_table(nu)
-    out = 0.5 * (mu * mu - ds * ds) + tab(mu) - tab.at_zero
+    out = _logratio_at(ds * (xs / np.hypot(math.sqrt(nu), xs)), ds, nu)
     return float(out) if out.ndim == 0 else out
 
 
-def nct_cdf(x, nu, delta):
-    """P(T <= x) for the non-central t(nu, delta), broadcasting x against delta.
+def _logratio_at(mu, delta, nu):
+    """nct_t_logratio through mu = delta x / sqrt(nu + x^2)."""
+    tab = get_moment_table(nu)
+    return 0.5 * (mu * mu - delta * delta) + tab(mu) - tab.at_zero
 
-    Mode-centred Poisson mixture of regularized incomplete beta terms
-    (Benton & Krishnamoorthy 2003); absolute error well below 1e-10. All
-    elements run in one lockstep sweep: each delta starts at its own Poisson
-    mode and leaves the sweep at its own 1e-14 tail bound. NaN raises; +-inf
-    map to exactly 0/1. Scalar x and delta give a float.
+
+def nct_cdf(x, nu, delta):
+    """P(T <= x) for the non-central t(nu, delta), broadcasting x against
+    delta: the lower mass of nct_tails. NaN raises; +-inf map to exactly
+    0/1. Scalar x and delta give a float."""
+    return nct_tails(x, nu, delta)[0]
+
+
+# exp-sinh rule (Takahasi & Mori 1974) for integral_0^inf g(v) dv: nodes
+# v = exp(pi/2 sinh s) on an even step in s over [-3.875, 3], which spans v
+# from 1e-17 to 7e6, so a tail that decays at the estimated scale or far more
+# slowly keeps its mass
+_TAIL_STEP = 1.0 / 16.0
+_TAIL_S = np.arange(-62, 49) * _TAIL_STEP
+_TAIL_V = np.exp(0.5 * math.pi * np.sinh(_TAIL_S))
+_TAIL_W = _TAIL_STEP * 0.5 * math.pi * np.cosh(_TAIL_S) * _TAIL_V
+# unit of v, as a multiple of the decay length of the integrand at x
+_TAIL_SCALE = 3.0
+# elements per block: a block's node arrays (elements x 111 doubles) stay
+# within a core's cache
+_TAIL_BLOCK = 512
+
+
+def nct_tails(x, nu, delta):
+    """(P(T <= x), P(T > x)) for the non-central t(nu, delta), broadcasting
+    x against delta.
+
+    The tail on the side of x away from the mode is the integral of the
+    density exp(nct_pdf_log), so it reads the same log-moment table and
+    keeps its relative accuracy however small it is; the other tail is its
+    complement. The integral runs in w = asinh(t / sqrt(nu)), where every
+    tail of the density decays at least exponentially, on a fixed exp-sinh
+    rule scaled by the decay length at x. Both masses carry the table's
+    accuracy (see LogMomentTable), about 1e-11. NaN raises; +-inf map to
+    exactly 0/1. Scalar x and delta give floats.
     """
     nu = _as_dof(nu)
     xs, ds = _broadcast(x, delta)
     if not np.isfinite(ds).all():
-        raise ValueError("nct_cdf: non-centrality must be finite")
+        raise ValueError("nct_tails: non-centrality must be finite")
     if np.isnan(xs).any():
-        raise ValueError("nct_cdf: x must not be NaN")
-    if xs.size == 0:
-        return np.empty(xs.shape)
-    # the trailing axes along which delta is constant form the columns of one
-    # row, which shares its Poisson weights and its stopping point
-    cols = 1
-    for n_axis, stride in zip(xs.shape[::-1], ds.strides[::-1]):
-        if stride and n_axis > 1:
-            break
-        cols *= n_axis
-    t = xs.reshape(-1, cols)
-    d = ds.reshape(-1, cols)[:, :1]
-    absd = np.abs(d)
-    y = 0.5 * absd * absd
-    neg = t < 0.0
-    ta = np.where(np.isfinite(t), np.abs(t), 0.0)
-    sd = np.where(neg, -d, d)
-    f = np.empty(t.shape)
-    far = y[:, 0] > _NCT_Y_MAX
-    if far.any():
-        tf = ta[far]
-        zz = (tf * (1.0 - 0.25 / nu) - sd[far]) / np.sqrt(1.0 + tf * tf / (2.0 * nu))
-        f[far] = sc.ndtr(zz)
-    near = ~far
-    if near.any():
-        f[near] = _poisson_sweep(ta[near], sd[near], absd[near], y[near], nu)
-    out = np.where(neg, 1.0 - f, f)
-    out[t == -np.inf] = 0.0
-    out[t == np.inf] = 1.0
-    return _shaped(out, xs.shape)
+        raise ValueError("nct_tails: x must not be NaN")
+    t, d = xs.ravel(), ds.ravel()
+    lower = (t == np.inf).astype(np.float64)
+    upper = (t == -np.inf).astype(np.float64)
+    fin = np.flatnonzero(np.isfinite(t))
+    for a in range(0, fin.size, _TAIL_BLOCK):
+        k = fin[a:a + _TAIL_BLOCK]
+        mass, up = _far_tail(t[k], d[k], nu)
+        lower[k] = np.where(up, 1.0 - mass, mass)
+        upper[k] = np.where(up, mass, 1.0 - mass)
+    return _shaped(lower, xs.shape), _shaped(upper, xs.shape)
+
+
+def _far_tail(x, delta, nu):
+    """Mass of the non-central t(nu, delta) beyond finite x on the side away
+    from the mode, and whether that side is the upper one."""
+    wx = np.arcsinh(x / math.sqrt(nu))
+    # slope and curvature of log J(w), J(w) = f(t) dt/dw, with E[s] and
+    # Var[s] of log M's integrand s^nu exp(-(s - mu)^2 / 2) taken at its
+    # peak (the s_star of log_moment): they only set the side and the scale
+    a = np.tanh(wx)
+    e = np.exp(-np.abs(wx))
+    c2 = (2.0 * e / (1.0 + e * e)) ** 2  # sech^2
+    mu = delta * a
+    np1 = nu + 1.0
+    root = np.hypot(mu, 2.0 * math.sqrt(np1))
+    s_big = 0.5 * (np.abs(mu) + root)  # the roots multiply to -(nu + 1)
+    s_star = np.where(mu >= 0.0, s_big, np1 / s_big)
+    slope = -nu * a + delta * s_star * c2
+    curv = (-nu * c2 + delta * delta * (s_star / root) * c2 * c2
+            - 2.0 * delta * s_star * c2 * a)
+    up = slope <= 0.0
+    h = _TAIL_SCALE / (np.abs(slope) + np.sqrt(np.abs(curv)))
+    w = wx[:, None] + np.where(up, h, -h)[:, None] * _TAIL_V
+    aw = np.abs(w)
+    # with t = sqrt(nu) sinh w, t_pdf_log(t) + log(dt/dw) is
+    # t_pdf_log(0) + log(sqrt(nu)) - nu log cosh w, and mu = delta tanh w
+    log_j = (float(t_pdf_log(0.0, nu)) + 0.5 * math.log(nu) + nu * math.log(2.0)
+             - nu * (aw + np.log1p(np.exp(-2.0 * aw)))
+             + _logratio_at(delta[:, None] * np.tanh(w), delta[:, None], nu))
+    return np.clip(h * np.sum(np.exp(log_j) * _TAIL_W, axis=1), 0.0, 1.0), up
 
 
 def _broadcast(x, delta):
@@ -371,97 +433,3 @@ def _broadcast(x, delta):
 def _shaped(flat, shape):
     out = flat.reshape(shape)
     return float(out) if out.ndim == 0 else out
-
-
-# beyond y = delta^2 / 2 = 5e5 the sweep would run for thousands of terms far
-# outside the certified regime; a normal approximation keeps the function
-# total and monotone there. Below it the Poisson tail bound ends every sweep
-# within a few thousand terms.
-_NCT_Y_MAX = 5.0e5
-
-
-# log(0) at ta = 0 and 0 * log(0) at y = 0 are masked below
-@np.errstate(divide="ignore", invalid="ignore")
-def _poisson_sweep(ta, sd, absd, y, nu):
-    """CDF at ta >= 0 with signed non-centrality sd, as (rows, cols) arrays;
-    absd and y = absd^2 / 2 are (rows, 1), one value per row."""
-    b = 0.5 * nu
-    denom2 = 2.0 * np.log(np.hypot(math.sqrt(nu), ta))
-    lx = 2.0 * np.log(ta) - denom2
-    l1mx = math.log(nu) - denom2
-    xbeta = np.exp(lx)
-    # below x = 1e-300 every beta term is negligible and stays so going down
-    inv_x = np.zeros_like(xbeta)
-    np.divide(1.0, xbeta, out=inv_x, where=xbeta > 1e-300)
-
-    # Poisson weights of the two series at each row's mode jm
-    jm = np.floor(y)
-    lg_j1 = sc.gammaln(jm + 1.0)
-    lpm = -y + np.where(jm > 0.0, jm * np.log(y), 0.0) - lg_j1
-    pm = np.exp(lpm)
-    km = np.exp(lpm + lg_j1 - sc.gammaln(jm + 1.5)) / math.sqrt(2.0)
-    lgb = math.lgamma(b)
-
-    def beta_term(a):
-        lg = sc.gammaln(a + b) - sc.gammaln(a + 1.0) - lgb
-        v = np.exp(lg + a * lx + b * l1mx)
-        return np.where(np.isfinite(v), v, 0.0)
-
-    # the two series, with beta parameters a = j + 1/2 and a = j + 1, are
-    # stacked along a leading axis of length 2
-    a0 = jm + _SERIES
-    ibeta = sc.betainc(a0, b, xbeta)
-    terms = beta_term(a0)
-    sums = np.stack([pm, km]) * ibeta
-    rows = np.stack([jm, y, absd, np.arange(ta.shape[0], dtype=np.float64)[:, None], pm, km])
-
-    def up(j, yy, ad, w, ib, tm, sm, xb):
-        a = j + _SERIES
-        ib -= tm
-        np.maximum(ib, 0.0, out=ib)
-        tm *= xb
-        tm *= (a + b) / (a + 1.0)
-        w *= yy / (a + 0.5)
-        j += 1.0
-        sm += w * ib
-        r = yy / (j + 2.0)
-        return (j > yy + 4.0) & ((w[0] + ad * w[1]) * r / (1.0 - r) < 1e-14)
-
-    def down(j, yy, ad, w, ib, tm, sm, ivx):
-        a = j + _SERIES
-        tm *= a / (a + b - 1.0)
-        tm *= ivx
-        ib += tm
-        np.minimum(ib, 1.0, out=ib)
-        w *= (a - 0.5) / yy
-        j -= 1.0
-        sm += w * ib
-        rd = j / yy
-        return ((w[0] + ad * w[1]) * rd / (1.0 - rd) < 1e-14) | (j <= 0.0)
-
-    _run_sweep(up, rows.copy(), np.concatenate([ibeta, terms, sums, xbeta[None]]), sums)
-    below = jm[:, 0] > 0.0
-    _run_sweep(down, rows[:, below],
-               np.concatenate([ibeta, terms, sums, inv_x[None]])[:, below], sums)
-    f = sc.ndtr(-sd) + 0.5 * sums[0] + 0.5 * sd * sums[1]
-    return np.clip(f, 0.0, 1.0)
-
-
-# offsets of the two series' beta parameters from the Poisson index j
-_SERIES = np.array([0.5, 1.0])[:, None, None]
-
-
-def _run_sweep(step, rows, elems, sums):
-    """Repeat step over the rows still summing until each has met its tail
-    bound, and write each row's two sums into sums as it does.
-
-    rows stacks (rows, 1) slabs j, y, |delta|, the row index and the two
-    Poisson weights; elems stacks (rows, cols) slabs: the two incomplete
-    beta values, the two beta terms, the two sums and the x factor.
-    """
-    while rows.shape[1]:
-        done = step(rows[0], rows[1], rows[2], rows[4:6], elems[0:2], elems[2:4],
-                    elems[4:6], elems[6])[:, 0]
-        if done.any():
-            sums[:, rows[3][done, 0].astype(np.intp)] = elems[4:6][:, done]
-            rows, elems = rows[:, ~done], elems[:, ~done]

@@ -69,6 +69,40 @@ def nct_cdf_quad(x, nu, delta):
     return min(max(total, 0.0), 1.0)
 
 
+def nct_tails_mpmath(x, nu, delta, dps=20):
+    """(P(T <= x), P(T > x)) for the non-central t at dps digits.
+
+    T = (Z + delta) / S with S = sqrt(chi2_nu / nu), so each tail is
+    E_S[Phi(+-(x S - delta))]; each is integrated on its own over u = log S,
+    with breakpoints around the peak of its integrand and around the step of
+    Phi at x S = delta, so both keep relative accuracy however small they
+    are.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x, nu, d = mp.mpf(x), mp.mpf(nu), mp.mpf(delta)
+        c = mp.log(2) + (nu / 2) * mp.log(nu / 2) - mp.loggamma(nu / 2)
+        u_step = mp.log((abs(d) + 1) / abs(x)) if x != 0 else mp.mpf(0)
+
+        def tail(sign):
+            def log_f(u):
+                r = mp.exp(u)
+                return mp.log(mp.ncdf(sign * (x * r - d))) + c + nu * u - nu * r * r / 2
+
+            grid = [mp.mpf(k) for k in range(-40, 11)]
+            vals = [log_f(u) for u in grid]
+            top = max(vals)
+            u0 = grid[vals.index(top)]
+            lo, hi = u0 - 60, u0 + 8
+            pts = {u0 + k for k in (-60, -24, -8, -3, -1, 0, 1, 3, 8)}
+            pts |= {u_step + k for k in (-2, -0.5, -0.1, 0, 0.1, 0.5, 2) if lo < u_step + k < hi}
+            return mp.quad(lambda u: mp.exp(log_f(u) - top), sorted(pts),
+                           method="gauss-legendre") * mp.exp(top)
+
+        return float(tail(1)), float(tail(-1))
+
+
 def power_quad(tau, delta, nu):
     return 1.0 - nct_cdf_quad(t_quantile_bisect(1.0 - tau, nu), nu, delta)
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from certmap import certainty as ct
 from certmap import simulate as sim
+from certmap import special as sp
 from certmap.fit import fit_volume
 from certmap.model import MixtureParams, power
 from certmap.thresholding import threshold_with_frontier
 
-from oracles import auc_quad
+from oracles import auc_quad, nct_tails_mpmath
 
 # frozen oracle values at (tau=0.05, lam=0.3, delta=3, nu=122)
 RHO_PLUS_REF = 0.886322042290514013
@@ -323,3 +324,39 @@ def test_threshold_entry_points_agree_bit_for_bit():
     at = threshold_with_frontier(fits, tau, 122.0).decisions
     above = threshold_with_frontier(fits, np.nextafter(tau, 2.0), 122.0).decisions
     assert at.all() and not above.any()
+
+
+def _fits(lam, delta):
+    n = lam.size
+    return types.SimpleNamespace(
+        n_masked=n, lam=lam, delta=delta, converged=np.ones(n, dtype=bool),
+        dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool))
+
+
+def test_rho_minus_near_all_active_matches_mpmath():
+    # a fit at the lambda clip and the delta floor: tau* sits at 1, so
+    # rho_minus is read at 1 - 1e-10, where 1 - power is 1.6e-13 and must
+    # keep its relative accuracy
+    lam, delta = 1.0 - 1e-12, 1.0 + 1e-12
+    maps = ct.certainty_volume(_fits(np.array([lam]), np.array([delta])), 122.0, "frontier")
+    tau = 1.0 - 1e-10
+    lower, _ = nct_tails_mpmath(sp.t_upper_quantile(tau, 122.0), 122.0, delta)
+    null = (1.0 - lam) * (1.0 - tau)
+    assert maps.rho_minus[0] == pytest.approx(null / (null + lam * lower), rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [1.0, 122.0])
+def test_certainty_never_reaches_log_moment_fallback(monkeypatch, nu):
+    # |mu| < delta <= fit.DELTA_CAP, so once the table is built no certainty
+    # stage computes log M by direct quadrature
+    sp.get_moment_table(nu)
+
+    def fallback(nu, mu):
+        raise AssertionError(f"log_moment fallback reached at mu = {mu!r}")
+
+    monkeypatch.setattr(sp, "log_moment", fallback)
+    lam = np.tile([1e-12, 0.3, 0.9, 1.0 - 1e-12], 3)
+    delta = np.repeat([1.0, 6.0, 50.0], 4)
+    for tau_source in ("frontier", 0.03, 1e-12):
+        maps = ct.certainty_volume(_fits(lam, delta), nu, tau_source=tau_source)
+        assert np.isfinite(maps.rho_plus).all() and np.isfinite(maps.auc).all()

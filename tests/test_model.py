@@ -6,7 +6,8 @@ import pytest
 from certmap import model as md
 from certmap import special as sp
 
-from oracles import integrate_unit_interval, nct_cdf_quad, power_quad, t_quantile_bisect
+from oracles import (integrate_unit_interval, nct_cdf_quad, nct_tails_mpmath, power_quad,
+                     t_quantile_bisect)
 
 # frozen oracle values (mpmath / quadrature)
 POWER_05_3_122 = 0.909624348912787957
@@ -125,6 +126,22 @@ def test_power_against_quadrature_oracle():
     got = md.power(0.02, 2.5, 10)
     want = power_quad(0.02, 2.5, 10)
     assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0, 122.0, 1000.0])
+def test_power_and_complement_match_mpmath(nu):
+    # power and 1 - power are each a tail mass taken directly, so both keep
+    # relative accuracy however small they are
+    taus = np.array([1e-10, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-10])
+    x = sp.t_upper_quantile(taus, nu)
+    for delta in (1.0, 6.0, 50.0):
+        pw, q = md._power_tails(taus, delta, nu)
+        np.testing.assert_array_equal(md.power(taus, delta, nu), pw)
+        for i in range(taus.size):
+            lower, upper = nct_tails_mpmath(x[i], nu, delta)
+            for got, want in ((pw[i], upper), (q[i], lower)):
+                if want >= 1e-30:
+                    assert abs(got - want) <= 1e-10 * want, (delta, taus[i], got, want)
 
 
 def test_power_dominates_size_and_monotone():

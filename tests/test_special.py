@@ -235,7 +235,7 @@ def test_logratio_is_pdf_log_difference():
 def test_log_moment_table_matches_direct(nu):
     # every density ratio reads log M from this spline
     tab = sp.LogMomentTable(nu)
-    mus = np.linspace(-39.5, 39.5, 200)
+    mus = np.linspace(-49.5, 49.5, 200)
     np.testing.assert_allclose(tab(mus), sp.log_moment(nu, mus), rtol=0.0, atol=5e-11)
     # outside the spline range the table falls back to quadrature
     assert tab(55.0) == sp.log_moment(nu, 55.0)
@@ -299,6 +299,28 @@ def test_nct_cdf_broadcasts_delta_bit_for_bit():
     assert sp.nct_cdf(np.empty((0, 3)), 10.0, 1.0).shape == (0, 3)
     with pytest.raises(ValueError):
         sp.nct_cdf(1.0, 10.0, np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+def test_t_quantile_tiny_p_at_low_dof(nu):
+    # below 2 dof, betaincinv underflows z for such p; the quantile must
+    # still come back finite and invert t_sf to relative precision
+    for p in (1e-160, 1e-300):
+        t = sp.t_upper_quantile(p, nu)
+        assert np.isfinite(t)
+        assert abs(sp.t_sf(t, nu) - p) <= 1e-11 * p
+        assert sp.t_quantile(p, nu) == -t
+
+
+def test_t_quantile_beyond_float64_raises():
+    with pytest.raises(ValueError, match="t_quantile"):
+        sp.t_quantile(1e-300, 0.5)
+
+
+def test_moment_table_spans_delta_cap():
+    # |mu| < delta, so every density ratio up to the cap reads the table
+    from certmap.fit import DELTA_CAP
+    assert sp._TABLE_MU_MAX >= DELTA_CAP
 
 
 def test_nct_t_logratio_broadcasts_delta():
