@@ -15,6 +15,8 @@ root of lam * ratio(tau) = 1 - lam, found by bisection on the statistic
 scale. The per-voxel ROC curve is summarized by its area, the average of
 power over all sizes.
 
+All three read one power evaluation at tau, whichever rule chose tau: the
+frontier optimum or an external cutoff such as the realized FDR cutoff.
 Every function takes one voxel (floats, a MixtureParams of floats) or many
 (arrays, a MixtureParams of arrays) and runs the same array code either way;
 certainty_volume makes one call per stage over the whole mask.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .model import MixtureParams, _power_tails, power
+from .model import MixtureParams, _power_tails
 
 __all__ = [
     "FLAG_OK",
@@ -64,10 +66,8 @@ def _check_tau_open(tau):
     tau = np.asarray(tau, dtype=np.float64)
     bad = ~((tau > 0.0) & (tau < 1.0))
     if bad.any():
-        raise ValueError(
-            f"tau must lie strictly inside (0, 1); the conditioning event is "
-            f"degenerate at {float(tau[bad].flat[0])!r}"
-        )
+        raise ValueError(f"tau must lie strictly inside (0, 1); the conditioning event "
+                         f"is degenerate at {float(tau[bad].flat[0])!r}")
     return tau
 
 
@@ -75,13 +75,23 @@ def _float_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _rho(tau, lam, pw, q):
-    """(rho_plus, rho_minus) at threshold tau from the power pw at tau and
-    its complement q = 1 - pw."""
-    num_p, num_m = lam * pw, (1.0 - lam) * (1.0 - tau)
-    den_p, den_m = (1.0 - lam) * tau + num_p, num_m + lam * q
-    return tuple(np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
-                 for num, den in ((num_p, den_p), (num_m, den_m)))
+def _at_tau(tau, lam, delta, nu):
+    """(rho_plus, rho_minus, frontier) at threshold tau from one power pair,
+    broadcasting tau against lam and delta.
+
+    tau inside (0, 1) is read as given; tau outside [0, 1] or NaN raises. At
+    the sizes 0 and 1, where one decision is never made, rho is read in the
+    one-sided limit at _TAU_EDGE and 1 - _TAU_EDGE; the frontier stays exact.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    inner = (tau > 0.0) & (tau < 1.0)
+    tau_eval = np.where(tau == 0.0, _TAU_EDGE, np.where(tau == 1.0, 1.0 - _TAU_EDGE, tau))
+    pw, q = _power_tails(tau_eval, delta, nu)
+    num_p, num_m = lam * pw, (1.0 - lam) * (1.0 - tau_eval)
+    den_p, den_m = (1.0 - lam) * tau_eval + num_p, num_m + lam * q
+    rp, rm = (np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
+              for num, den in ((num_p, den_p), (num_m, den_m)))
+    return rp, rm, (1.0 - lam) * (1.0 - tau) + lam * np.where(inner, pw, tau)
 
 
 def rho_plus(tau, params, nu):
@@ -90,22 +100,18 @@ def rho_plus(tau, params, nu):
     tau broadcasts against params' lam and delta, which may be floats or
     arrays over voxels.
     """
-    tau = _check_tau_open(tau)
-    return _float_or_array(_rho(tau, params.lam, *_power_tails(tau, params.delta, nu))[0])
+    return _float_or_array(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[0])
 
 
 def rho_minus(tau, params, nu):
     """True-inactivation certainty at threshold tau; broadcasts like rho_plus."""
-    tau = _check_tau_open(tau)
-    return _float_or_array(_rho(tau, params.lam, *_power_tails(tau, params.delta, nu))[1])
+    return _float_or_array(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[1])
 
 
 def frontier(tau, params, nu):
     """Probability of a correct activation decision at threshold tau;
     broadcasts like rho_plus, with tau in [0, 1]."""
-    tau = np.asarray(tau, dtype=np.float64)
-    lam = params.lam
-    return _float_or_array((1.0 - lam) * (1.0 - tau) + lam * power(tau, params.delta, nu))
+    return _float_or_array(_at_tau(tau, params.lam, params.delta, nu)[2])
 
 
 # log((1 - lam) / lam) through the C library's log1p and log, elementwise;
@@ -115,9 +121,8 @@ _log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
 def _optimal_threshold_impl(params, nu):
-    """Returns (tau_star, (power, 1 - power), degenerate_flag), one entry per
-    voxel of params (1-D arrays). The power pair is taken at tau_star
-    clipped into [_TAU_EDGE, 1 - _TAU_EDGE], where the certainties are read.
+    """Returns (tau_star, degenerate_flag), one entry per voxel of params
+    (1-D arrays).
 
     All voxels bisect in lockstep on the statistic scale: logratio is
     increasing in x and tau is decreasing in x, so the frontier's stationary
@@ -163,13 +168,7 @@ def _optimal_threshold_impl(params, nu):
             lo[live[~up]] = mid[~up]
         t_in[search] = special.t_sf(0.5 * (lo + hi), nu)
         tau[inner] = t_in
-    return tau, _power_tails(np.clip(tau, _TAU_EDGE, 1.0 - _TAU_EDGE), delta, nu), degenerate
-
-
-def _frontier_value(tau, lam, pw):
-    """The frontier at tau from the power pw at tau clipped into
-    [_TAU_EDGE, 1 - _TAU_EDGE]; at sizes 0 and 1 the power is the size."""
-    return (1.0 - lam) * (1.0 - tau) + lam * np.where((tau > 0.0) & (tau < 1.0), pw, tau)
+    return tau, degenerate
 
 
 def optimal_threshold(params, nu):
@@ -179,8 +178,8 @@ def optimal_threshold(params, nu):
     frontier (delta = 0, lam = 1/2) ties to 0. Floats for a MixtureParams of
     floats, arrays of its shape for one of arrays.
     """
-    tau, (pw, _), _ = _optimal_threshold_impl(params, nu)
-    value = _frontier_value(tau, np.ravel(params.lam), pw)
+    tau, _ = _optimal_threshold_impl(params, nu)
+    value = _at_tau(tau, np.ravel(params.lam), np.ravel(params.delta), nu)[2]
     shape = np.shape(params.lam)
     return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
 
@@ -274,12 +273,13 @@ def certainty_volume(fits, nu, tau_source="frontier"):
 
     tau_source is either the string "frontier" (per-voxel optimal threshold)
     or an externally supplied threshold: a scalar or an array over the mask
-    (e.g. the realized FDR cutoff). Externally supplied thresholds outside
-    (0, 1) flag the voxel instead of failing the volume; rho at a frontier
-    boundary threshold is evaluated in the one-sided limit. An FDR cutoff
-    with no rejections is 0.0: every voxel then carries FLAG_BAD_TAU, tau 0
-    and NaN rho_plus and rho_minus, and keeps its AUC. Each stage is one
-    array call over the mask.
+    (e.g. the realized FDR cutoff). Either way rho_plus, rho_minus and the
+    frontier value are read at that tau from one power evaluation; only a
+    frontier threshold of exactly 0 or 1 reads rho in the one-sided limit.
+    Externally supplied thresholds outside (0, 1) flag the voxel instead of
+    failing the volume. An FDR cutoff with no rejections is 0.0: every voxel
+    then carries FLAG_BAD_TAU, tau 0 and NaN rho_plus and rho_minus, and
+    keeps its AUC. Each stage is one array call over the mask.
     """
     n = fits.n_masked
     nu = float(nu)
@@ -291,31 +291,21 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        out_tau, tails, degenerate = _optimal_threshold_impl(params, nu)
-        out_fv = _frontier_value(out_tau, params.lam, tails[0])
+        out_tau, degenerate = _optimal_threshold_impl(params, nu)
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
         bad = ~((out_tau >= 0.0) & (out_tau <= 1.0))
     else:
         out_tau = np.array(np.broadcast_to(np.asarray(tau_source, dtype=np.float64), (n,)))
-        out_fv = np.full(n, math.nan)
         bad = ~((out_tau > 0.0) & (out_tau < 1.0))
     flags[bad] |= FLAG_BAD_TAU
-    out_fv[bad] = math.nan
 
-    out_rp = np.full(n, math.nan)
-    out_rm = np.full(n, math.nan)
+    out_rp, out_rm, out_fv = (np.full(n, math.nan) for _ in range(3))
     good = ~bad
     if good.any():
-        usable = MixtureParams(params.lam[good], params.delta[good])
-        tau_eval = np.clip(out_tau[good], _TAU_EDGE, 1.0 - _TAU_EDGE)
-        if from_frontier:
-            pw, q = tails[0][good], tails[1][good]
-        else:
-            pw, q = _power_tails(tau_eval, usable.delta, nu)
-            out_fv[good] = frontier(out_tau[good], usable, nu)
-        out_rp[good], out_rm[good] = _rho(tau_eval, usable.lam, pw, q)
+        out_rp[good], out_rm[good], out_fv[good] = _at_tau(
+            out_tau[good], params.lam[good], params.delta[good], nu)
 
     return CertaintyMaps(
         dims=fits.dims,

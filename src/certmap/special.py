@@ -109,13 +109,27 @@ def t_sf(x, nu):
     return _unwrap(out, scalar)
 
 
+def _t_log_const(nu):
+    """log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2, the log of the
+    central t density at 0. From nu = 30 on, where the difference of gammaln
+    values loses up to 8e-15 (8e-7 at nu = 1e9), it is the asymptotic series
+    of log Gamma(a + 1/2) - log Gamma(a) - log(a)/2 in z = 1/a, a = nu/2,
+    within 4e-16 there; at nu = 10 the series would be off by 7e-11."""
+    if nu < 30.0:
+        return sc.gammaln(0.5 * (nu + 1.0)) - sc.gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    z = 2.0 / nu
+    z2 = z * z
+    return -0.5 * math.log(2.0 * math.pi) + z * (-1.0 / 8.0 + z2 * (1.0 / 192.0 + z2 * (
+        -1.0 / 640.0 + z2 * (17.0 / 14336.0 - z2 * 31.0 / 18432.0))))
+
+
 def t_pdf_log(x, nu):
     """Natural log of the central t density; finite for every finite x."""
     nu = _as_dof(nu)
     arr, scalar = _prep(x)
     if not np.isfinite(arr).all():
         raise ValueError("t_pdf_log: x must be finite")
-    const = sc.gammaln(0.5 * (nu + 1.0)) - sc.gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    const = _t_log_const(nu)
     big = np.abs(arr) > 1e150
     val = np.empty_like(arr)
     xs = arr[~big]
@@ -209,6 +223,19 @@ def _gauss_legendre(n):
 
 # Gauss-Legendre nodes per panel of log_moment
 _MOMENT_NODES = 320
+# values of mu per block of log_moment: a block holds 640 doubles per value
+# in each of its arrays
+_MOMENT_BLOCK = 250
+
+
+def _moment_peak(mu, np1):
+    """(s_star, root): s_star, the positive root of s^2 - mu s - np1 = 0, is
+    the peak of log M's integrand in v = log s; root = sqrt(mu^2 + 4 np1)."""
+    root = np.hypot(mu, 2.0 * math.sqrt(np1))
+    # the roots multiply to -np1: for mu < 0 this conjugate form keeps the
+    # precision that mu + root would lose
+    s_big = 0.5 * (np.abs(mu) + root)
+    return np.where(mu >= 0.0, s_big, np1 / s_big), root
 
 
 def log_moment(nu, mu):
@@ -217,6 +244,8 @@ def log_moment(nu, mu):
     In v = log s the integrand exp((nu+1) v - (e^v - mu)^2 / 2) is entire and
     unimodal. Two Gauss-Legendre panels cover it: one across the Laplace peak
     and one down the exp((nu+1) v) left tail, which matters for small nu.
+    Each value's sum runs on its own row, in blocks of _MOMENT_BLOCK values,
+    so a value's result does not depend on what else shares the call.
     """
     nu = _as_dof(nu)
     shape = np.shape(mu)
@@ -224,43 +253,26 @@ def log_moment(nu, mu):
     if not np.isfinite(arr).all():
         raise ValueError("log_moment: mu must be finite")
     np1 = nu + 1.0
-    root = np.hypot(arr, 2.0 * math.sqrt(np1))
-    # peak of the v-integrand solves s^2 - mu s - (nu+1) = 0; conjugate form
-    # keeps precision when mu is very negative
-    s_star = np.empty_like(arr)
-    pos = arr >= 0.0
-    s_star[pos] = 0.5 * (arr[pos] + root[pos])
-    s_star[~pos] = 2.0 * np1 / (root[~pos] - arr[~pos])
-    v_star = np.log(s_star)
-    sig = 1.0 / np.sqrt(s_star * s_star + np1)
-    edges = (
-        v_star - 14.0 * sig - 48.0 / np1,
-        v_star - 14.0 * sig,
-        v_star + 14.0 * sig,
-    )
     nodes, weights = _gauss_legendre(_MOMENT_NODES)
-    pieces_h = []
-    pieces_lw = []
-    # one row per mu, so each row's sum runs in the same order however many
-    # values share the call
-    for lo, hi in ((edges[0], edges[1]), (edges[1], edges[2])):
-        half = 0.5 * (hi - lo)[:, None]
-        v = lo[:, None] + half * (nodes + 1.0)
-        s = np.exp(v)
-        pieces_h.append(np1 * v - 0.5 * (s - arr[:, None]) ** 2)
-        pieces_lw.append(np.log(weights * half))
-    h = np.hstack(pieces_h)
-    lw = np.hstack(pieces_lw)
-    hmax = h.max(axis=1)
-    out = hmax + np.log(np.sum(np.exp(h + lw - hmax[:, None]), axis=1))
+    out = np.empty_like(arr)
+    for a in range(0, arr.size, _MOMENT_BLOCK):
+        m = arr[a:a + _MOMENT_BLOCK, None]
+        s_star = _moment_peak(m, np1)[0]
+        v_star = np.log(s_star)
+        sig = 1.0 / np.sqrt(s_star * s_star + np1)
+        edges = (v_star - 14.0 * sig - 48.0 / np1, v_star - 14.0 * sig, v_star + 14.0 * sig)
+        panels = [(lo, 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+        v = np.hstack([lo + half * (nodes + 1.0) for lo, half in panels])
+        lw = np.hstack([np.log(weights * half) for _, half in panels])
+        h = np1 * v - 0.5 * (np.exp(v) - m) ** 2
+        hmax = h.max(axis=1)
+        out[a:a + _MOMENT_BLOCK] = hmax + np.log(np.sum(np.exp(h + lw - hmax[:, None]), axis=1))
     return _shaped(out, shape)
 
 
 # |mu| < delta, so the table spans every non-centrality up to fit.DELTA_CAP
 _TABLE_MU_MAX = 50.0
 _TABLE_KNOTS = 5001
-# knots per log_moment call: it holds knots x 640 doubles per array
-_TABLE_BLOCK = 250
 
 
 class LogMomentTable:
@@ -275,7 +287,7 @@ class LogMomentTable:
     def __init__(self, nu):
         self.nu = _as_dof(nu)
         grid = np.linspace(-_TABLE_MU_MAX, _TABLE_MU_MAX, _TABLE_KNOTS)
-        self._spline = CubicSpline(grid, _log_moment_blocks(self.nu, grid))
+        self._spline = CubicSpline(grid, log_moment(self.nu, grid))
         self.at_zero = float(log_moment(self.nu, 0.0))
 
     def __call__(self, mu):
@@ -286,14 +298,8 @@ class LogMomentTable:
         else:
             out = np.empty_like(arr)
             out[inside] = self._spline(arr[inside])
-            out[~inside] = _log_moment_blocks(self.nu, arr[~inside])
+            out[~inside] = log_moment(self.nu, arr[~inside])
         return _unwrap(out, scalar)
-
-
-def _log_moment_blocks(nu, mu):
-    """log_moment over the 1-D array mu, a few hundred values per call."""
-    blocks = np.array_split(mu, -(-mu.size // _TABLE_BLOCK))
-    return np.concatenate([log_moment(nu, b) for b in blocks])
 
 
 _MOMENT_TABLES = {}
@@ -400,15 +406,11 @@ def _far_tail(x, delta, nu):
     wx = np.arcsinh(x / math.sqrt(nu))
     # slope and curvature of log J(w), J(w) = f(t) dt/dw, with E[s] and
     # Var[s] of log M's integrand s^nu exp(-(s - mu)^2 / 2) taken at its
-    # peak (the s_star of log_moment): they only set the side and the scale
+    # peak (_moment_peak): they only set the side and the scale
     a = np.tanh(wx)
     e = np.exp(-np.abs(wx))
     c2 = (2.0 * e / (1.0 + e * e)) ** 2  # sech^2
-    mu = delta * a
-    np1 = nu + 1.0
-    root = np.hypot(mu, 2.0 * math.sqrt(np1))
-    s_big = 0.5 * (np.abs(mu) + root)  # the roots multiply to -(nu + 1)
-    s_star = np.where(mu >= 0.0, s_big, np1 / s_big)
+    s_star, root = _moment_peak(delta * a, nu + 1.0)
     slope = -nu * a + delta * s_star * c2
     curv = (-nu * c2 + delta * delta * (s_star / root) * c2 * c2
             - 2.0 * delta * s_star * c2 * a)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certmap import certainty as ct
+from certmap import model as md
 from certmap import simulate as sim
 from certmap import special as sp
 from certmap.fit import fit_volume
@@ -170,15 +171,43 @@ def _maps_fixture(n=30, m=6, seed=21):
     return truth, data, fits
 
 
-def test_certainty_volume_single_voxel_matches_scalars():
+@pytest.mark.parametrize("tau", [0.05, 1e-12, 1.0 - 1e-12])
+def test_certainty_volume_single_voxel_matches_scalars(tau):
+    # an external tau is read as given, however close to 0 or 1 it lies
     _, _, fits = _maps_fixture(n=1)
-    maps = ct.certainty_volume(fits, 122.0, tau_source=0.05)
+    maps = ct.certainty_volume(fits, 122.0, tau_source=tau)
     prm = MixtureParams(float(fits.lam[0]), float(fits.delta[0]))
-    assert maps.tau[0] == 0.05
-    assert maps.rho_plus[0] == ct.rho_plus(0.05, prm, 122.0)
-    assert maps.rho_minus[0] == ct.rho_minus(0.05, prm, 122.0)
-    assert maps.frontier_value[0] == pytest.approx(ct.frontier(0.05, prm, 122.0), abs=1e-14)
+    assert maps.tau[0] == tau
+    assert maps.rho_plus[0] == ct.rho_plus(tau, prm, 122.0)
+    assert maps.rho_minus[0] == ct.rho_minus(tau, prm, 122.0)
+    assert maps.frontier_value[0] == pytest.approx(ct.frontier(tau, prm, 122.0), abs=1e-14)
     assert maps.auc[0] == ct.auc(prm.delta, 122.0)
+
+
+def test_one_power_evaluation_per_threshold(monkeypatch):
+    # rho_plus, rho_minus and the frontier value come from one power pair at
+    # tau, whichever rule chose it; the decisions need no power at all
+    _, _, fits = _maps_fixture(n=8)
+    calls = []
+    tails = md._power_tails
+
+    def counted(*args):
+        calls.append(args)
+        return tails(*args)
+
+    for module in (ct, md):  # md.power reaches the model's own binding
+        monkeypatch.setattr(module, "_power_tails", counted)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    prm = MixtureParams(fits.lam, fits.delta)
+    assert count(ct.certainty_volume, fits, 122.0, "frontier") == 1
+    assert count(ct.certainty_volume, fits, 122.0, 0.03) == 1
+    assert count(ct.optimal_threshold, prm, 122.0) == 1
+    assert count(threshold_with_frontier, fits, np.full(8, 0.5), 122.0) == 0
 
 
 def test_certainty_volume_frontier_value_identity():
@@ -281,7 +310,7 @@ def test_tau_star_nondecreasing_in_lambda(delta, lams):
     # rises in x, so the root moves to smaller x: a larger tau
     lam = np.sort(np.array(lams))
     prm = MixtureParams(lam, np.full(lam.size, delta))
-    tau, _, _ = ct._optimal_threshold_impl(prm, 122.0)
+    tau, _ = ct._optimal_threshold_impl(prm, 122.0)
     assert np.all(np.diff(tau) >= 0.0)
 
 

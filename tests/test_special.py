@@ -101,6 +101,17 @@ def test_t_pdf_log_cauchy_at_zero():
     assert abs(np.exp(sp.t_pdf_log(0.0, 1)) - 1.0 / np.pi) < 1e-15
 
 
+@pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 10.0, 30.0, 122.0, 1e3, 1e4, 1e6, 1e9])
+def test_t_pdf_log_constant_matches_mpmath(nu):
+    # log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2 at 50 digits; a
+    # difference of two gammaln values is off by 8e-7 at nu = 1e9
+    import mpmath as mp
+    with mp.workdps(50):
+        n = mp.mpf(nu)
+        want = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2
+        assert abs(sp.t_pdf_log(0.0, nu) - want) <= 1e-15
+
+
 def test_t_pdf_log_normalizes():
     from scipy.integrate import quad
     val, _ = quad(lambda x: np.exp(sp.t_pdf_log(x, 7)), -50, 50, limit=200)
