@@ -47,6 +47,8 @@ _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
 _GOLDEN_STEPS = 40
 _NEWTON_STEPS = 60
+# rounding floor of a slope sum, per unit of sum_j |t_j|
+_SLOPE_FLOOR = 8.0 * np.finfo(np.float64).eps
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -109,19 +111,20 @@ def _lam_hat(logr, lam):
     (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
     overflow however large R is; minus the sum of its squares is the second
     derivative. Steps that leave the bracket are replaced by bisection. Only
-    rows still moving take a step; a row stops once a step changes it by
-    less than 1e-15 relative, so each row's result depends on that row alone.
+    rows still moving take a step; a row stops once its slope is within the
+    rounding floor of the slope sum, 8 eps sum_j |t_j|, or a step changes it
+    by less than 1e-15 relative, so each row's result depends on that row
+    alone.
     """
     q = np.exp(np.minimum(logr, 0.0))
     r = np.exp(-np.maximum(logr, 0.0))
     dq = q - r
 
-    def slope(lam):
-        t = dq / (r + lam[:, None] * dq)
-        return t.sum(axis=1), (t * t).sum(axis=1)
+    def terms(lam):
+        return dq / (r + lam[:, None] * dq)
 
-    at_lo = slope(np.full(len(logr), _LAM_EPS))[0] <= 0.0
-    at_hi = slope(np.full(len(logr), 1.0 - _LAM_EPS))[0] >= 0.0
+    at_lo = terms(np.full(len(logr), _LAM_EPS)).sum(axis=1) <= 0.0
+    at_hi = terms(np.full(len(logr), 1.0 - _LAM_EPS)).sum(axis=1) >= 0.0
     lam = np.where(at_lo, _LAM_EPS, np.where(at_hi, 1.0 - _LAM_EPS, lam))
     live = np.flatnonzero(~(at_lo | at_hi))
     lo, hi = np.full(live.size, _LAM_EPS), np.full(live.size, 1.0 - _LAM_EPS)
@@ -129,12 +132,13 @@ def _lam_hat(logr, lam):
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
-        g, h = slope(x)
+        t = terms(x)
+        g, h = t.sum(axis=1), (t * t).sum(axis=1)
         lo = np.where(g > 0.0, x, lo)
         hi = np.where(g < 0.0, x, hi)
         new = x + np.divide(g, h, out=np.zeros(x.size), where=h > 0.0)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        moving = np.abs(new - x) > 1e-15 * x
+        moving = (np.abs(new - x) > 1e-15 * x) & (np.abs(g) > _SLOPE_FLOOR * np.abs(t).sum(axis=1))
         live, lo, hi, x, dq, r = (a[moving] for a in (live, lo, hi, new, dq, r))
         lam[live] = x
     return lam

@@ -12,11 +12,11 @@ The non-central machinery rests on one integral,
 
 computed in log space by Gauss-Legendre quadrature after the substitution
 s = e^v (the integrand is then entire, with a single Laplace peak) and
-cached per nu as a cubic spline in mu over |mu| <= 50. The non-central t
-density at x factors through M with mu = delta * x / sqrt(nu + x^2), which
-keeps every tail sign combination cancellation-free; the density, the
-density ratio and the tail masses (nct_tails, and nct_cdf through it) all
-read M from that spline.
+cached per nu as a quintic Hermite table in mu on uniform knots over
+|mu| <= 50. The non-central t density at x factors through M with
+mu = delta * x / sqrt(nu + x^2), which keeps every tail sign combination
+cancellation-free; the density, the density ratio and the tail masses
+(nct_tails, and nct_cdf through it) all read M from that table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 from scipy import special as sc
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "t_cdf",
@@ -111,15 +110,23 @@ def t_sf(x, nu):
 
 def _t_log_const(nu):
     """log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2, the log of the
-    central t density at 0. From nu = 30 on, where the difference of gammaln
-    values loses up to 8e-15 (8e-7 at nu = 1e9), it is the asymptotic series
-    of log Gamma(a + 1/2) - log Gamma(a) - log(a)/2 in z = 1/a, a = nu/2,
-    within 4e-16 there; at nu = 10 the series would be off by 7e-11."""
-    if nu < 30.0:
-        return sc.gammaln(0.5 * (nu + 1.0)) - sc.gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
-    z = 2.0 / nu
+    central t density at 0, as -log(2 pi)/2 + G(a), a = nu/2, where
+    G(a) = log Gamma(a + 1/2) - log Gamma(a) - log(a)/2. From a = 15 on, G is
+    its asymptotic series in z = 1/a, within 4e-16 there (a difference of
+    gammaln values loses up to 8e-15, 8e-7 at nu = 1e9). Below, the
+    recurrence Gamma(a + 1) = a Gamma(a) gives
+    G(a) = G(a + 1) - log1p(1 / (4 a (a + 1))) / 2, which shifts a up to the
+    series; every term is small and positive, so the shift adds no
+    cancellation.
+    """
+    a = 0.5 * nu
+    shift = 0.0
+    while a < 15.0:
+        shift += math.log1p(0.25 / (a * (a + 1.0)))
+        a += 1.0
+    z = 1.0 / a
     z2 = z * z
-    return -0.5 * math.log(2.0 * math.pi) + z * (-1.0 / 8.0 + z2 * (1.0 / 192.0 + z2 * (
+    return -0.5 * math.log(2.0 * math.pi) - 0.5 * shift + z * (-1.0 / 8.0 + z2 * (1.0 / 192.0 + z2 * (
         -1.0 / 640.0 + z2 * (17.0 / 14336.0 - z2 * 31.0 / 18432.0))))
 
 
@@ -217,13 +224,13 @@ _GL_CACHE = {}
 
 def _gauss_legendre(n):
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = sc.roots_legendre(n)
+        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
 
 
 # Gauss-Legendre nodes per panel of log_moment
-_MOMENT_NODES = 320
-# values of mu per block of log_moment: a block holds 640 doubles per value
+_MOMENT_NODES = 160
+# values of mu per block of log_moment: a block holds 320 doubles per value
 # in each of its arrays
 _MOMENT_BLOCK = 250
 
@@ -252,11 +259,21 @@ def log_moment(nu, mu):
     arr = np.asarray(mu, dtype=np.float64).ravel()
     if not np.isfinite(arr).all():
         raise ValueError("log_moment: mu must be finite")
+    return _shaped(_moment_terms(nu, arr)[0], shape)
+
+
+def _moment_terms(nu, mu):
+    """Rows log M, d log M / dmu and d^2 log M / dmu^2 at each mu of a flat
+    array, from one pass of log_moment's quadrature.
+
+    Under the integrand read as a density of s, d log M / dmu = E[s - mu]
+    and d^2 log M / dmu^2 = Var[s] - 1; both use the weights of log M's sum.
+    """
     np1 = nu + 1.0
     nodes, weights = _gauss_legendre(_MOMENT_NODES)
-    out = np.empty_like(arr)
-    for a in range(0, arr.size, _MOMENT_BLOCK):
-        m = arr[a:a + _MOMENT_BLOCK, None]
+    out = np.empty((3, mu.size))
+    for a in range(0, mu.size, _MOMENT_BLOCK):
+        m = mu[a:a + _MOMENT_BLOCK, None]
         s_star = _moment_peak(m, np1)[0]
         v_star = np.log(s_star)
         sig = 1.0 / np.sqrt(s_star * s_star + np1)
@@ -264,40 +281,72 @@ def log_moment(nu, mu):
         panels = [(lo, 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
         v = np.hstack([lo + half * (nodes + 1.0) for lo, half in panels])
         lw = np.hstack([np.log(weights * half) for _, half in panels])
-        h = np1 * v - 0.5 * (np.exp(v) - m) ** 2
+        gap = np.exp(v) - m
+        h = np1 * v - 0.5 * gap * gap
         hmax = h.max(axis=1)
-        out[a:a + _MOMENT_BLOCK] = hmax + np.log(np.sum(np.exp(h + lw - hmax[:, None]), axis=1))
-    return _shaped(out, shape)
+        p = np.exp(h + lw - hmax[:, None])
+        total = p.sum(axis=1)
+        p /= total[:, None]
+        mean = (p * gap).sum(axis=1)
+        dev = gap - mean[:, None]
+        out[:, a:a + _MOMENT_BLOCK] = (hmax + np.log(total), mean, (p * dev * dev).sum(axis=1) - 1.0)
+    return out
 
 
 # |mu| < delta, so the table spans every non-centrality up to fit.DELTA_CAP
 _TABLE_MU_MAX = 50.0
-_TABLE_KNOTS = 5001
+# knots per unit of mu; a spacing of 0.1 keeps the table within 3e-12
+_TABLE_PER_UNIT = 10.0
 
 
 class LogMomentTable:
-    """Cubic-spline cache of log_moment(nu, .), through which every
-    non-central density and density ratio reads log M.
+    """Quintic Hermite table of log_moment(nu, .) on uniform knots, through
+    which every non-central density and density ratio reads log M.
 
-    Inside |mu| <= 50 the spline is within 5e-11 (absolute) of direct
-    quadrature for nu from 1 to 1000; outside, calls fall back to direct
-    quadrature.
+    Each knot carries log M and its first two derivatives from one pass of
+    the quadrature (_moment_terms); a value is one index computation and a
+    six-coefficient Horner step. Inside |mu| <= 50 the table is within 3e-12
+    (absolute) of direct quadrature for nu from 1 to 1000, and exact at the
+    knots; outside, calls fall back to direct quadrature.
     """
 
     def __init__(self, nu):
         self.nu = _as_dof(nu)
-        grid = np.linspace(-_TABLE_MU_MAX, _TABLE_MU_MAX, _TABLE_KNOTS)
-        self._spline = CubicSpline(grid, log_moment(self.nu, grid))
-        self.at_zero = float(log_moment(self.nu, 0.0))
+        half = int(_TABLE_MU_MAX * _TABLE_PER_UNIT)
+        self._knots = np.arange(-half, half + 1) / _TABLE_PER_UNIT
+        f, d1, d2 = _moment_terms(self.nu, self._knots)
+        # the quintic on each interval in t = (mu - knot) * 10, t in [0, 1],
+        # that matches f, f' and f'' at both ends: with g and s the first and
+        # second derivatives in t, its coefficients of t^0 .. t^5
+        step = 1.0 / _TABLE_PER_UNIT
+        df = f[1:] - f[:-1]
+        g0, g1 = step * d1[:-1], step * d1[1:]
+        s0, s1 = step * step * d2[:-1], step * step * d2[1:]
+        self._coef = np.stack([
+            f[:-1], g0, 0.5 * s0,
+            10.0 * df - 6.0 * g0 - 4.0 * g1 - 1.5 * s0 + 0.5 * s1,
+            -15.0 * df + 8.0 * g0 + 7.0 * g1 + 1.5 * s0 - s1,
+            6.0 * df - 3.0 * (g0 + g1) - 0.5 * (s0 - s1),
+        ])
+        self.at_zero = float(f[half])
+
+    def _interp(self, mu):
+        k = np.minimum(((mu + _TABLE_MU_MAX) * _TABLE_PER_UNIT).astype(np.intp), self._knots.size - 2)
+        t = (mu - self._knots.take(k)) * _TABLE_PER_UNIT
+        out = self._coef[5].take(k)
+        for row in self._coef[4::-1]:
+            out *= t
+            out += row.take(k)
+        return out
 
     def __call__(self, mu):
         arr, scalar = _prep(mu)
         inside = np.abs(arr) <= _TABLE_MU_MAX
         if inside.all():
-            out = self._spline(arr)
+            out = self._interp(arr)
         else:
             out = np.empty_like(arr)
-            out[inside] = self._spline(arr[inside])
+            out[inside] = self._interp(arr[inside])
             out[~inside] = log_moment(self.nu, arr[~inside])
         return _unwrap(out, scalar)
 
@@ -379,7 +428,7 @@ def nct_tails(x, nu, delta):
     complement. The integral runs in w = asinh(t / sqrt(nu)), where every
     tail of the density decays at least exponentially, on a fixed exp-sinh
     rule scaled by the decay length at x. Both masses carry the table's
-    accuracy (see LogMomentTable), about 1e-11. NaN raises; +-inf map to
+    accuracy (see LogMomentTable), about 1e-12. NaN raises; +-inf map to
     exactly 0/1. Scalar x and delta give floats.
     """
     nu = _as_dof(nu)

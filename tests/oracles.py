@@ -103,6 +103,17 @@ def nct_tails_mpmath(x, nu, delta, dps=20):
         return float(tail(1)), float(tail(-1))
 
 
+def log_moment_mpmath(nu, mu, dps=40):
+    """log of integral_0^inf s^nu exp(-(s - mu)^2 / 2) ds from its closed form
+    Gamma(nu + 1) exp(-mu^2 / 4) D_(-nu-1)(-mu), D the parabolic cylinder
+    function, at dps digits. mpmath's pcfd does not converge at nu = 1000."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        n, m = mp.mpf(nu), mp.mpf(mu)
+        return float(mp.loggamma(n + 1) - m * m / 4 + mp.log(mp.pcfd(-n - 1, -m)))
+
+
 def power_quad(tau, delta, nu):
     return 1.0 - nct_cdf_quad(t_quantile_bisect(1.0 - tau, nu), nu, delta)
 

@@ -371,3 +371,27 @@ def test_inputs_never_mutated(fixture_volumes, tmp_path):
     before = reps.read_bytes()
     main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
     assert reps.read_bytes() == before
+
+
+def test_commands_import_no_interpolate_or_linalg():
+    # importing scipy.interpolate or scipy.linalg costs more than a small
+    # volume's whole fit; no certmap code path needs either
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import certmap
+
+    script = (
+        "import sys\n"
+        "from certmap import certainty, cli, fit, simulate\n"
+        "truth = simulate.make_ground_truth(8, seed=3)\n"
+        "fits = fit.fit_volume(simulate.generate_replications(truth, 4, seed=3))\n"
+        "certainty.certainty_volume(fits, truth.nu)\n"
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    src = str(Path(certmap.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 
 from certmap import special as sp
 
-from oracles import nct_cdf_quad, t_cdf_quad, t_quantile_bisect
+from oracles import log_moment_mpmath, nct_cdf_quad, t_cdf_quad, t_quantile_bisect
 
 # frozen oracle values (mpmath, 40 digits; adaptive quadrature of the
 # defining integrals)
@@ -110,6 +110,18 @@ def test_t_pdf_log_constant_matches_mpmath(nu):
         n = mp.mpf(nu)
         want = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2
         assert abs(sp.t_pdf_log(0.0, nu) - want) <= 1e-15
+
+
+def test_t_pdf_log_constant_matches_mpmath_below_30():
+    # the recurrence shift to the series, on a 0.1 scan of nu over [1, 40]
+    import mpmath as mp
+    worst = 0.0
+    with mp.workdps(50):
+        for nu in np.linspace(1.0, 40.0, 391):
+            n = mp.mpf(float(nu))
+            want = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2
+            worst = max(worst, float(abs(sp.t_pdf_log(0.0, float(nu)) - want)))
+    assert worst <= 1e-15
 
 
 def test_t_pdf_log_normalizes():
@@ -242,14 +254,43 @@ def test_logratio_is_pdf_log_difference():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+# knot midpoints of the log-moment table, where its error peaks
+_MOMENT_MIDPOINTS = np.arange(-499, 500) / 10.0 + 0.05
+
+
 @pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 10.0, 122.0, 1000.0])
 def test_log_moment_table_matches_direct(nu):
-    # every density ratio reads log M from this spline
+    # every density ratio reads log M from this table
     tab = sp.LogMomentTable(nu)
-    mus = np.linspace(-49.5, 49.5, 200)
-    np.testing.assert_allclose(tab(mus), sp.log_moment(nu, mus), rtol=0.0, atol=5e-11)
-    # outside the spline range the table falls back to quadrature
+    mus = np.concatenate([np.linspace(-50.0, 50.0, 201), _MOMENT_MIDPOINTS])
+    np.testing.assert_allclose(tab(mus), sp.log_moment(nu, mus), rtol=0.0, atol=5e-12)
+    # outside the table range the table falls back to quadrature
     assert tab(55.0) == sp.log_moment(nu, 55.0)
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 10.0, 122.0])
+def test_log_moment_matches_mpmath(nu):
+    # the closed form through the parabolic cylinder function
+    direct = np.linspace(-50.0, 50.0, 41)
+    mids = _MOMENT_MIDPOINTS[::25]
+    want = np.array([log_moment_mpmath(nu, m) for m in np.concatenate([direct, mids])])
+    np.testing.assert_allclose(sp.log_moment(nu, direct), want[:direct.size], rtol=0.0, atol=3e-13)
+    tab = sp.get_moment_table(nu)
+    np.testing.assert_allclose(tab(mids), want[direct.size:], rtol=0.0, atol=3e-12)
+
+
+@pytest.mark.parametrize("nu, delta", [(1, 3.0), (2, 2.0), (4, 4.0), (10, 4.0), (122, 4.0)])
+def test_nct_pdf_log_normalizes_to_table_accuracy(nu, delta):
+    # nct_tails takes the near tail as 1 - the far tail, so this error is
+    # the step of nct_cdf and power where x crosses the mode
+    from scipy.integrate import quad
+
+    def f(x):
+        return np.exp(sp.nct_pdf_log(x, nu, delta))
+
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+                for a, b in ((-np.inf, 0.0), (0.0, delta), (delta, np.inf)))
+    assert abs(total - 1.0) <= 1e-12
 
 
 def test_dof_validation():
