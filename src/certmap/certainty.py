@@ -184,12 +184,12 @@ def optimal_threshold(params, nu):
     return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
 
 
-# 64 nodes leave 2.6e-6 at nu = 1, delta = 50; numpy's Legendre weights
-# themselves are off by 1.6e-14 in total at 100 nodes and 4e-14 at 128
+# 64 nodes leave 2.6e-6 at nu = 1, delta = 50; the weights themselves are
+# off by 2.9e-15 in total at 100 nodes and 3.0e-15 at 128 (40-digit check)
 _AUC_ORDER = 100
 _AUC_WMIN = -36.0  # integrate s (and 1 - s) down to e^-36
 _AUC_CACHE = {}
-_AUC_BLOCK = 256  # voxels per nct_t_logratio call
+_AUC_BLOCK = 256  # values of delta per nct_t_logratio call
 
 
 def _auc_nodes(nu):
@@ -215,10 +215,10 @@ def auc(delta, nu):
     an active voxel. Fixed-order Gauss-Legendre on the log scale of each
     endpoint's distance (the integrand is non-analytic at both s = 0 and
     s = 1); 0.5 at delta = 0, increasing toward 1. delta may be a float or
-    an array over voxels.
+    an array over voxels; each distinct value is integrated once.
     """
     deltas = np.asarray(delta, dtype=np.float64)
-    flat = deltas.ravel()
+    flat, inverse = np.unique(deltas.ravel(), return_inverse=True)
     x, w_left, w_right = _auc_nodes(nu)
     out = np.empty(flat.size)
     for a in range(0, flat.size, _AUC_BLOCK):
@@ -226,7 +226,7 @@ def auc(delta, nu):
         mass = (np.sum(w_left * np.exp(special.nct_t_logratio(x, nu, d)), axis=1)
                 + np.sum(w_right * np.exp(special.nct_t_logratio(-x, nu, d)), axis=1))
         out[a:a + _AUC_BLOCK] = np.clip(1.0 - mass, 0.0, 1.0)
-    return _float_or_array(out.reshape(deltas.shape))
+    return _float_or_array(out[inverse].reshape(deltas.shape))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,18 @@ in v that includes both ends, then golden-section search in the grid cell
 around each voxel's best grid point. The result is never worse than the
 best grid point.
 
-Every step runs on all masked voxels at once (the lam solve on those still
-moving), as arrays with one row per voxel. Each voxel's p-values are sorted
-within their dof group before any sum, so a fit is invariant to the order of
-the replications, and no row's arithmetic depends on the other rows: a voxel
-fits the same, bit for bit, whatever else is in the volume.
+The grid runs in blocks of _GRID_BLOCK voxels: one array pass evaluates
+all 97 grid points of a block, each lam solve starting from 0.5. Each
+golden-section step runs on all masked voxels at once, its lam solve warm
+started from the voxel's best grid lam_hat. Arrays hold one row per (voxel,
+delta) pair, and the lam solve steps only the rows still moving. The
+profile value costs one log per element (see _lam_hat); the reported
+log-likelihood is the model's log mixture at the final (lam, delta).
+
+Each voxel's p-values are sorted within their dof group before any sum, so
+a fit is invariant to the order of the replications, and no row's
+arithmetic depends on the other rows: a voxel fits the same, bit for bit,
+whatever else is in the volume or its grid block.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
 _GOLDEN_STEPS = 40
+# voxels per grid pass: a block holds 97 rows per voxel in each array
+_GRID_BLOCK = 32
 _NEWTON_STEPS = 60
 # rounding floor of a slope sum, per unit of sum_j |t_j|
 _SLOPE_FLOOR = 8.0 * np.finfo(np.float64).eps
@@ -88,26 +97,39 @@ class VolumeFit:
 
 
 def _quantile_groups(pvalues, dofs):
-    """Per dof group: (x, nu), x the upper quantiles of the group's p-values,
-    one row per voxel, sorted within each row."""
+    """Per dof group: (a, nu), a = x / sqrt(nu + x^2) for x the upper
+    quantiles of the group's p-values, one row per voxel, sorted within each
+    row. delta * a is the mu at which the density ratio reads log M."""
     groups = []
     for nu in np.unique(dofs):
         p = np.sort(pvalues[dofs == nu].T, axis=1)
-        groups.append((special.t_upper_quantile(p, nu), nu))
+        x = special.t_upper_quantile(p, nu)
+        if not np.isfinite(x).all():
+            raise ValueError("fit: quantiles must be finite")
+        groups.append((x / np.hypot(math.sqrt(nu), x), nu))
     return groups
 
 
 def _log_ratios(groups, delta):
-    """log R_j(delta) for every (voxel, replication), delta one per voxel."""
-    parts = [special.nct_t_logratio(x, nu, delta[:, None]) for x, nu in groups]
+    """log R_j(delta) for every (row, replication), delta one per row; equal
+    bit for bit to special.nct_t_logratio at the group's quantiles."""
+    d = delta[:, None]
+    parts = [special._logratio_at(d * a, d, nu) for a, nu in groups]
     return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
-def _lam_hat(logr, lam):
-    """Row-wise maximizer of sum_j log(1 - lam + lam R_j) over the clipped
-    unit interval, by Newton steps from the starting values lam.
+def _q_r(logr):
+    """(min(R, 1), min(1/R, 1)) from one exp of -|log R|."""
+    e = np.exp(-np.abs(logr))
+    return np.where(logr < 0.0, e, 1.0), np.where(logr > 0.0, e, 1.0)
 
-    With q = min(R, 1) and r = min(1/R, 1), the slope term is
+
+def _lam_hat(logr, lam):
+    """Row-wise maximizer of l(lam) = sum_j log(1 - lam + lam R_j) over the
+    clipped unit interval, by Newton steps from the starting values lam.
+    Returns (lam_hat, l(lam_hat)).
+
+    With q = min(R, 1) and r = min(1/R, 1) (_q_r), the slope term is
     (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
     overflow however large R is; minus the sum of its squares is the second
     derivative. Steps that leave the bracket are replaced by bisection. Only
@@ -115,10 +137,14 @@ def _lam_hat(logr, lam):
     rounding floor of the slope sum, 8 eps sum_j |t_j|, or a step changes it
     by less than 1e-15 relative, so each row's result depends on that row
     alone.
+
+    The value takes one log per element: 1 - lam + lam R is
+    (1 - lam) r + lam q times max(R, 1), so
+    l = sum_j log((1 - lam) r_j + lam q_j) + sum_j max(log R_j, 0),
+    a sum of two positive terms inside the log, with no cancellation.
     """
-    q = np.exp(np.minimum(logr, 0.0))
-    r = np.exp(-np.maximum(logr, 0.0))
-    dq = q - r
+    q_all, r_all = _q_r(logr)
+    dq, r = q_all - r_all, r_all
 
     def terms(lam):
         return dq / (r + lam[:, None] * dq)
@@ -141,26 +167,40 @@ def _lam_hat(logr, lam):
         moving = (np.abs(new - x) > 1e-15 * x) & (np.abs(g) > _SLOPE_FLOOR * np.abs(t).sum(axis=1))
         live, lo, hi, x, dq, r = (a[moving] for a in (live, lo, hi, new, dq, r))
         lam[live] = x
-    return lam
-
-
-def _loglik(logr, lam):
-    """Row sums of the log mixture density."""
-    return _log_mixture(lam[:, None], logr).sum(axis=1)
+    mix = (1.0 - lam)[:, None] * r_all + lam[:, None] * q_all
+    return lam, np.log(mix).sum(axis=1) + np.maximum(logr, 0.0).sum(axis=1)
 
 
 def _profile(groups, v, lam0):
     """(profile log-likelihood, lam_hat) at delta = 1 + e^v, one v per
-    voxel; the lam search starts from lam0.
+    row; the lam search starts from lam0.
 
     Where lam_hat sits at its lower clip, the supremum over lam is the
     lam = 0 value, exactly 0 whatever delta is (the mixture is uniform).
     Using it makes such voxels tie across delta, so they keep the first grid
     point, the delta floor.
     """
-    logr = _log_ratios(groups, 1.0 + np.exp(v))
-    lam = _lam_hat(logr, lam0)
-    return np.where(lam == _LAM_EPS, 0.0, _loglik(logr, lam)), lam
+    lam, f = _lam_hat(_log_ratios(groups, 1.0 + np.exp(v)), lam0)
+    return np.where(lam == _LAM_EPS, 0.0, f), lam
+
+
+def _grid(groups, n):
+    """Best grid point of every voxel: (index into _V_GRID, profile value,
+    lam_hat). A block of _GRID_BLOCK voxels takes all grid points in one
+    _profile call, on rows tiled grid-major, each lam search from 0.5;
+    np.argmax keeps a voxel's first maximum, so ties go to the lower delta."""
+    best_k = np.empty(n, dtype=np.intp)
+    best_f, best_lam = np.empty(n), np.empty(n)
+    g = _V_GRID.size
+    for s in range(0, n, _GRID_BLOCK):
+        b = min(_GRID_BLOCK, n - s)
+        block = [(np.tile(a[s:s + b], (g, 1)), nu) for a, nu in groups]
+        f, lam = _profile(block, np.repeat(_V_GRID, b), np.full(g * b, 0.5))
+        f, lam = f.reshape(g, b), lam.reshape(g, b)
+        k = np.argmax(f, axis=0)
+        cols = np.arange(b)
+        best_k[s:s + b], best_f[s:s + b], best_lam[s:s + b] = k, f[k, cols], lam[k, cols]
+    return best_k, best_f, best_lam
 
 
 def _fit(pvalues, dofs):
@@ -169,24 +209,14 @@ def _fit(pvalues, dofs):
     Returns (lam, delta, loglik) arrays over the N voxels.
     """
     groups = _quantile_groups(pvalues, dofs)
-    n = pvalues.shape[1]
-    best_f = np.full(n, -np.inf)
-    best_v = np.full(n, _V_MIN)
-    best_lam = np.full(n, _LAM_EPS)
-    best_k = np.zeros(n, dtype=int)
+    best_k, best_f, best_lam = _grid(groups, pvalues.shape[1])
+    best_v = _V_GRID[best_k]
 
     def keep(v, f, lam):
         better = f > best_f
         best_f[better] = f[better]
         best_v[better] = v[better]
         best_lam[better] = lam[better]
-        return better
-
-    lam = np.full(n, 0.5)
-    for k, v in enumerate(_V_GRID):
-        vs = np.full(n, v)
-        f, lam = _profile(groups, vs, lam)
-        best_k[keep(vs, f, lam)] = k
 
     # golden-section search over the cell on each side of the best grid point
     last = _V_GRID.size - 1
@@ -209,7 +239,7 @@ def _fit(pvalues, dofs):
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
 
     delta = 1.0 + np.exp(best_v)
-    return best_lam, delta, _loglik(_log_ratios(groups, delta), best_lam)
+    return best_lam, delta, _log_mixture(best_lam[:, None], _log_ratios(groups, delta)).sum(axis=1)
 
 
 def fit_voxel(pvals):

@@ -164,6 +164,15 @@ def test_auc_matches_adaptive_oracle(nu, delta):
     assert abs(got - want) < 1e-7
 
 
+def test_auc_of_repeated_values_matches_per_element_bit_for_bit():
+    rng = np.random.default_rng(31)
+    distinct = np.concatenate([[0.0, 1.0 + 1e-12, 50.0], rng.uniform(0.0, 50.0, 37)])
+    deltas = rng.permutation(np.repeat(distinct, rng.integers(1, 9, distinct.size)))
+    got = ct.auc(deltas.reshape(-1, 2), 10.0).ravel()
+    want = np.array([ct.auc(d, 10.0) for d in deltas])
+    np.testing.assert_array_equal(got, want)
+
+
 def _maps_fixture(n=30, m=6, seed=21):
     truth = sim.make_ground_truth(n, seed=seed)
     data = sim.generate_replications(truth, m, seed=seed)

@@ -233,3 +233,51 @@ def test_fit_volume_voxel_accessor():
     assert v.lam_hat == fits.lam[1]
     assert v.clamp_count == data.clamp_counts[1]
 
+
+def test_log_ratios_match_nct_t_logratio_bit_for_bit():
+    rng = np.random.default_rng(41)
+    pvalues = rng.uniform(1e-12, 1.0, size=(7, 20)) ** 3
+    delta = 1.0 + np.exp(rng.uniform(np.log(1e-12), np.log(ft.DELTA_CAP - 1.0), 20))
+    for dofs in (np.full(7, 122.0), np.array([10.0, 122.0, 10.0, 4.0, 122.0, 4.0, 10.0])):
+        groups = ft._quantile_groups(pvalues, dofs)
+        want = []
+        for nu in np.unique(dofs):
+            x = sp.t_upper_quantile(np.sort(pvalues[dofs == nu].T, axis=1), nu)
+            want.append(sp.nct_t_logratio(x, nu, delta[:, None]))
+        np.testing.assert_array_equal(ft._log_ratios(groups, delta), np.hstack(want))
+
+
+def test_one_exp_q_and_r_match_two_exp_form_bit_for_bit():
+    rng = np.random.default_rng(42)
+    logr = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0],
+                           rng.uniform(-50.0, 50.0, 200), rng.normal(0.0, 1e-3, 50)])
+    q, r = ft._q_r(logr)
+    np.testing.assert_array_equal(q, np.exp(np.minimum(logr, 0.0)))
+    np.testing.assert_array_equal(r, np.exp(-np.maximum(logr, 0.0)))
+
+
+def test_one_log_profile_value_matches_log_mixture():
+    # rows all below, all above and on both sides of R = 1 put lam_hat at
+    # the lower clip, the upper clip and inside
+    rng = np.random.default_rng(43)
+    scale = np.array([1e-3, 1.0, 30.0, 700.0])[rng.integers(0, 4, (300, 1))]
+    logr = np.clip(rng.normal(0.0, 1.0, (300, 12)) * scale, -700.0, 700.0)
+    logr[:100] = -np.abs(logr[:100])
+    logr[100:200] = np.abs(logr[100:200])
+    lam, value = ft._lam_hat(logr, np.full(300, 0.5))
+    assert (lam == ft._LAM_EPS).any() and (lam == 1.0 - ft._LAM_EPS).any()
+    assert ((lam > ft._LAM_EPS) & (lam < 1.0 - ft._LAM_EPS)).any()
+    terms = md._log_mixture(lam[:, None], logr)
+    # a row sum near 8 400 carries rounding of 1e-12, so the bound scales
+    # with the magnitude of the row's terms
+    assert (np.abs(value - terms.sum(axis=1)) <= 1e-14 * (1.0 + np.abs(terms).sum(axis=1))).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, None])
+def test_fit_volume_bit_identical_under_any_grid_block(monkeypatch, block):
+    data = _small_volume(n=40, m=6, seed=13)
+    whole = ft.fit_volume(data)
+    monkeypatch.setattr(ft, "_GRID_BLOCK", block or data.n_masked)
+    again = ft.fit_volume(data)
+    for field in ("lam", "delta", "loglik"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(whole, field))

@@ -293,6 +293,19 @@ def test_nct_pdf_log_normalizes_to_table_accuracy(nu, delta):
     assert abs(total - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [48, 100, 160])
+def test_gauss_legendre_rule(n):
+    x, w = sp._gauss_legendre(n)
+    # exact on every even power the rule can integrate
+    for k in range(n):
+        assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-15
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - ref_x).max() <= 2e-16
+    assert np.abs(w - ref_w).max() <= 1e-14
+
+
 def test_dof_validation():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
