@@ -9,7 +9,11 @@ volume.
 
 Randomness is keyed per (seed, purpose, voxel, replication) through
 counter-based Philox streams, so generated volumes are a pure function of
-the seed no matter how the work is scheduled.
+the seed no matter how the work is scheduled. A stream's key is numpy's
+SeedSequence hash of that tuple. generate_replications computes the keys
+of a block of cells in one array pass that reproduces the hash bit for
+bit, and resets one Philox to each key in turn, so no cell builds a
+SeedSequence or a bit generator of its own.
 """
 
 from __future__ import annotations
@@ -62,6 +66,88 @@ SCENARIOS = {
 def _rng(*key):
     seed_state = np.random.SeedSequence(list(key)).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=seed_state))
+
+
+# numpy's SeedSequence hash (pool of 4 uint32 words); the constants are
+# numpy's, see numpy/random/bit_generator.pyx
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+# voxels per key pass: the keys of 1 024 x 12 cells take ~2 MB as lists
+_KEY_BLOCK = 1024
+
+
+def _seed_words(seed):
+    """seed as SeedSequence's entropy words: little-endian uint32 words of
+    a non-negative integer, [0] for 0."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hasher(init, mult):
+    """SeedSequence's multiplicative hash of uint32 arrays; its constant
+    advances on every call, the same for every cell, so as a Python int."""
+    const = init
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hash_words
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _cell_keys(words, voxels, m):
+    """Philox keys of the cells (voxel i, replication j) for i in voxels and
+    j < m, shape (m, voxels.size, 2) uint64: cell [j, k] holds
+    SeedSequence([seed, _TAG_REPS, voxels[k], j]).generate_state(2, np.uint64)
+    for the seed whose words are given.
+
+    Array operations only: uint32 arrays wrap silently where numpy's scalar
+    arithmetic warns on overflow.
+    """
+    entropy = np.empty((len(words) + 3, m, voxels.size), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None, None]
+    entropy[-3] = _TAG_REPS
+    entropy[-2] = voxels
+    entropy[-1] = np.arange(m, dtype=np.uint32)[:, None]
+
+    # the entropy has at least 4 words (seed, tag, voxel, replication), so
+    # the pool is never padded
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[k]) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(extra))
+
+    # generate_state(2, np.uint64) hashes the pool once more and reads the
+    # four words as two little-endian uint64 words
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(value).astype(np.uint64) for value in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
 @dataclass
@@ -133,17 +219,32 @@ def generate_replications(truth, m, seed):
     Each (voxel, replication) cell draws sample_pvalue's four variates from
     its own Philox stream keyed by (seed, voxel, replication), so any
     sub-volume is independent of how much else was generated; one call of
-    the sampler's transform then maps them all. seed None means truth.seed.
+    the sampler's transform then maps them all. The keys come from one array
+    pass per block of voxels (_cell_keys, equal to numpy's SeedSequence),
+    and one Philox serves every cell: setting its state to a cell's key
+    with a zero counter and an empty buffer makes it a fresh Philox(key=k),
+    so cell (j, i) reads exactly the stream of _rng(seed, 1, i, j). seed
+    None means truth.seed.
     """
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    variates = np.empty((4, m, truth.n_masked))
-    for i in range(truth.n_masked):
-        for j in range(m):
-            rng = _rng(truth.seed if seed is None else seed, _TAG_REPS, i, j)
-            variates[:, j, i] = (rng.random(), rng.random(), rng.standard_normal(),
-                                 rng.chisquare(truth.nu))
+    words = _seed_words(truth.seed if seed is None else seed)
+    bitgen = np.random.Philox(0)  # its state is reset for every cell
+    rng = np.random.Generator(bitgen)
+    cell = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": cell, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    n, nu = truth.n_masked, truth.nu
+    variates = np.empty((4, m, n))
+    for a in range(0, n, _KEY_BLOCK):
+        keys = _cell_keys(words, np.arange(a, min(a + _KEY_BLOCK, n)), m)
+        for j, row in enumerate(keys.tolist()):
+            for i, key in enumerate(row, a):
+                cell["key"] = key
+                bitgen.state = state
+                variates[:, j, i] = (rng.random(), rng.random(), rng.standard_normal(),
+                                     rng.chisquare(nu))
     return ReplicationSet(
         dims=truth.dims, mask=truth.mask.copy(), dofs=np.full(m, truth.nu),
         pvalues=_pvalues(MixtureParams(truth.lam, truth.delta), truth.nu, *variates),
@@ -300,14 +401,19 @@ def run_simulation(truth, m_range, seed=0):
     """Generate, refit and score the field at every replication count."""
     if truth.n_masked == 0:
         raise ValueError("ground truth is empty")
+    ms = [int(m) for m in m_range]
+    if any(m < 1 for m in ms):
+        raise ValueError("m must be >= 1")
+    # cells are keyed per (voxel, replication), so the volume at M is the
+    # first M planes of the largest one
+    full = generate_replications(truth, max(ms), seed) if ms else None
     rows = []
-    for m in m_range:
-        data = generate_replications(truth, int(m), seed)
-        fits = fit_volume(data)
+    for m in ms:
+        fits = fit_volume(full.subset(np.arange(m)))
         rmse_l, rmse_d, avg_shd = score_fit(fits.lam, fits.delta, truth)
         rows.append(
             SimulationRow(
-                m=int(m),
+                m=m,
                 rmse_lambda=rmse_l,
                 rmse_delta=rmse_d,
                 avg_shd=avg_shd,

@@ -1,6 +1,8 @@
 """Tests for the simulation harness: sampler, Hellinger scoring, reports,
 half-split robustness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from oracles import integrate_unit_interval
 
 # frozen oracle value: independent adaptive quadrature on the p scale
 H2_053_055_122 = 0.302657133431151
+
+# sha256 of generate_replications(make_ground_truth(64, "dense", seed=3), 12,
+# 3).pvalues.tobytes(); any change to a generated stream moves it, including
+# a numpy change to SeedSequence or Philox
+GOLDEN_DENSE64_M12_SEED3 = "8ce760de0a3954ca4593cad9d160c7d50b84e2133a95a4c4b4fde801564459b2"
 
 
 def _ks_stat(draws, cdf_fn):
@@ -147,12 +154,44 @@ def test_generation_cell_is_sampler_on_keyed_stream(m):
         dims=(9, 1, 1), mask=np.ones((1, 1, 9), dtype=bool),
         lam=lam.ravel(), delta=delta.ravel(), scenario="default", seed=21, nu=122.0,
     )
-    for seed, key in ((8, 8), (None, 21)):
+    # 2**32 has two entropy words, one more than the SeedSequence pool holds
+    for seed, key in ((8, 8), (None, 21), (2**32, 2**32)):
         data = sim.generate_replications(truth, m, seed)
         expect = [[sim.sample_pvalue(MixtureParams(lam_i, delta_i), 122.0, sim._rng(key, 1, i, j))
                    for i, (lam_i, delta_i) in enumerate(zip(truth.lam, truth.delta))]
                   for j in range(m)]
         np.testing.assert_array_equal(data.pvalues, np.array(expect))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2027, 2**32 - 1, 2**32, 2**70 + 3])
+def test_cell_keys_equal_seed_sequence(seed):
+    rng = np.random.default_rng(seed % 1000)
+    edge = [0, 1, 2**16 + 3]
+    voxels = np.array(edge + rng.integers(0, 2**31, 3).tolist())
+    m = 2**16 + 4
+    keys = sim._cell_keys(sim._seed_words(seed), voxels, m)
+    assert keys.shape == (m, voxels.size, 2) and keys.dtype == np.uint64
+    cells = [(j, k) for j in edge for k in range(voxels.size)]
+    cells += zip(rng.integers(0, m, 20).tolist(), rng.integers(0, voxels.size, 20).tolist())
+    for j, k in cells:
+        expect = np.random.SeedSequence([seed, 1, int(voxels[k]), j]).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(keys[j, k], expect)
+
+
+def test_generation_seed_errors_match_seed_sequence():
+    truth = sim.make_ground_truth(4, seed=1)
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.SeedSequence([bad, 1, 0, 0])
+        with pytest.raises(error):
+            sim.generate_replications(truth, 2, bad)
+    np.testing.assert_array_equal(sim.generate_replications(truth, 2, np.int64(7)).pvalues,
+                                  sim.generate_replications(truth, 2, 7).pvalues)
+
+
+def test_generation_golden_digest():
+    data = sim.generate_replications(sim.make_ground_truth(64, "dense", seed=3), 12, 3)
+    assert hashlib.sha256(data.pvalues.tobytes()).hexdigest() == GOLDEN_DENSE64_M12_SEED3
 
 
 def test_composite_null_uniformity():
@@ -206,6 +245,17 @@ def test_report_determinism_and_layout():
     assert lines[0] == "M\trmse_lambda\trmse_delta\tavg_shd"
     assert len(lines) == 3
     assert [int(line.split("\t")[0]) for line in lines[1:]] == [2, 4]
+
+
+def test_run_simulation_rows_follow_m_range():
+    # one generation at the largest M serves every row: each row equals a
+    # run at its M alone, in the order of m_range
+    truth = sim.make_ground_truth(30, seed=13)
+    rows = sim.run_simulation(truth, [4, 2], seed=13).rows
+    assert [r.m for r in rows] == [4, 2]
+    assert rows == [sim.run_simulation(truth, [m], seed=13).rows[0] for m in (4, 2)]
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        sim.run_simulation(truth, [2, 0], seed=13)
 
 
 def test_split_reproducible_and_complementary():
