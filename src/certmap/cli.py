@@ -12,7 +12,10 @@ Subcommands:
 
 Every run writes a JSON manifest adjacent to its primary output with the
 exact configuration and seed needed to reproduce it. Exit codes: 0 success,
-1 usage, 2 validation, 3 numerical failure (partial outputs removed).
+1 usage, 2 validation, 3 numerical failure. A run that exits 2 or 3 removes
+every file it wrote, and only those. Parameter, composite and decision
+inputs must hold exactly one plane, and the inputs of one certainty or
+overlap run one grid; any other input exits 2 with its path and the reason.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ USAGE_ERROR = 1
 VALIDATION_ERROR = 2
 NUMERICAL_ERROR = 3
 
-_ENV_THREADS = "CERTMAP_THREADS"
-_THREADS_HELP = ("accepted for compatibility and recorded in the manifest; has no "
-                 f"effect, the fit runs as one array pass (default: ${_ENV_THREADS} or 1)")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -44,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-# paths written by the current run, so a numerical failure can remove
-# partial outputs before exiting
+# paths written by the current run, removed if the run fails; a path is
+# recorded only after its write succeeds, so no other file is ever removed
 _written_paths = []
 
 
@@ -54,28 +53,27 @@ def _write_volume(container, path):
     _written_paths.append(str(path))
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get(_ENV_THREADS, "1")))
-    except ValueError:
-        return 1
-
-
-def _write_manifest(path, subcommand, inputs, outputs, config, seed, t0):
-    manifest = {
-        "tool": "certmap",
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "outputs": outputs,
-        "config": config,
-        "seed": seed,
-        "wall_time_s": round(time.time() - t0, 3),
-    }
+def _write_text(text, path):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     _written_paths.append(str(path))
+
+
+def _read(path, kind, like=None):
+    """The container at path, checked: its value kind is `kind` (None takes
+    any), it holds one plane unless it is a pvalue or tstat replication set
+    read on its own, and it shares the grid of the container `like`."""
+    try:
+        c = volume.read_container(path)
+    except volume.ContainerError as exc:
+        raise volume.ContainerError(f"{path}: {exc}") from exc
+    if kind is not None and c.kind != kind:
+        raise volume.ContainerError(f"{path}: expected a {kind} volume, got {c.kind}")
+    if kind is not None and c.m != 1 and (like is not None or kind not in ("pvalue", "tstat")):
+        raise volume.ContainerError(f"{path}: expected one plane, got {c.m}")
+    if like is not None and (c.dims != like.dims or not np.array_equal(c.mask, like.mask)):
+        raise volume.ContainerError(f"{path}: dims or mask differ from the other inputs")
+    return c
 
 
 def _param_container(kind, fits_or_maps, values, dof):
@@ -94,24 +92,29 @@ def _two_paths(text, option):
     return text.split(",")
 
 
+def _write_maps(prefix, fits, dof, maps):
+    """Write each (kind, values, suffix) of maps to prefix.suffix.vol; {suffix: path}."""
+    outputs = {}
+    for kind, values, suffix in maps:
+        path = f"{prefix}.{suffix}.vol"
+        _write_volume(_param_container(kind, fits, values, dof), path)
+        outputs[suffix] = path
+    return outputs
+
+
 def cmd_fit(args):
-    t0 = time.time()
-    data = volume.ReplicationSet.from_container(volume.read_container(args.input))
+    data = volume.ReplicationSet.from_container(_read(args.input, "pvalue"))
     fits = fit_volume(data)
     dof_ref = float(data.dofs[0])
-    outputs = {}
-    for kind, values, suffix in (
+    outputs = _write_maps(args.out, fits, dof_ref, (
         ("lambda", fits.lam, "lambda"),
         ("delta", fits.delta, "delta"),
         ("decision", fits.converged.astype(np.float64), "converged"),
-    ):
-        path = f"{args.out}.{suffix}.vol"
-        _write_volume(_param_container(kind, fits, values, dof_ref), path)
-        outputs[suffix] = path
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path,
-        "fit",
+    ))
+    print(f"fit: {fits.n_masked} voxels, "
+          f"{int(np.count_nonzero(~fits.converged))} not converged")
+    return (
+        f"{args.out}.manifest.json",
         {"input": args.input},
         outputs,
         {
@@ -121,25 +124,14 @@ def cmd_fit(args):
             "n_clamped_pvalues": int(fits.clamp_counts.sum()),
         },
         None,
-        t0,
     )
-    print(f"fit: {fits.n_masked} voxels, "
-          f"{int(np.count_nonzero(~fits.converged))} not converged")
-    return [*outputs.values(), manifest_path]
 
 
 def cmd_certainty(args):
-    t0 = time.time()
     lam_path, delta_path = _two_paths(args.fits, "--fits")
-    lam_c = volume.read_container(lam_path)
-    delta_c = volume.read_container(delta_path)
-    comp_c = volume.read_container(args.composite)
-    if lam_c.kind != "lambda" or delta_c.kind != "delta":
-        raise volume.ContainerError("fit containers must be lambda and delta volumes")
-    if lam_c.dims != delta_c.dims or not np.array_equal(lam_c.mask, delta_c.mask):
-        raise volume.ContainerError("lambda and delta volumes disagree on geometry")
-    if comp_c.dims != lam_c.dims or not np.array_equal(comp_c.mask, lam_c.mask):
-        raise volume.ContainerError("composite volume disagrees with the fits")
+    lam_c = _read(lam_path, "lambda")
+    delta_c = _read(delta_path, "delta", like=lam_c)
+    comp_c = _read(args.composite, "pvalue", like=lam_c)
     dof = args.dof if args.dof is not None else float(lam_c.dofs[0])
 
     fits = VolumeFit(
@@ -169,21 +161,17 @@ def cmd_certainty(args):
         realized_cutoff = decisions.realized_cutoff
         maps = certainty.certainty_volume(fits, dof, tau_source=realized_cutoff)
 
-    outputs = {}
-    for kind, values, suffix in (
+    outputs = _write_maps(args.out, fits, dof, (
         ("tau", maps.tau, "tau"),
         ("rho_plus", maps.rho_plus, "rho_plus"),
         ("rho_minus", maps.rho_minus, "rho_minus"),
         ("auc", maps.auc, "auc"),
         ("decision", decisions.decisions.astype(np.float64), "decision"),
-    ):
-        path = f"{args.out}.{suffix}.vol"
-        _write_volume(_param_container(kind, fits, values, dof), path)
-        outputs[suffix] = path
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path,
-        "certainty",
+    ))
+    print(f"certainty: {maps.n_masked} voxels, {decisions.n_active} active "
+          f"({args.tau_source})")
+    return (
+        f"{args.out}.manifest.json",
         {"fits": args.fits, "composite": args.composite},
         outputs,
         {
@@ -193,11 +181,7 @@ def cmd_certainty(args):
             "n_active": decisions.n_active,
         },
         None,
-        t0,
     )
-    print(f"certainty: {maps.n_masked} voxels, {decisions.n_active} active "
-          f"({args.tau_source})")
-    return [*outputs.values(), manifest_path]
 
 
 def _parse_m_range(text):
@@ -211,16 +195,13 @@ def _parse_m_range(text):
 
 
 def cmd_simulate(args):
-    t0 = time.time()
     truth = simulate.make_ground_truth(args.N, scenario=args.scenario, seed=args.seed)
     m_range = _parse_m_range(args.M_range)
     report = simulate.run_simulation(truth, m_range, seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_tsv())
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path,
-        "simulate",
+    _write_text(report.to_tsv(), args.out)
+    print(report.to_tsv(), end="")
+    return (
+        f"{args.out}.manifest.json",
         {},
         {"report": args.out},
         {
@@ -231,19 +212,13 @@ def cmd_simulate(args):
             "nu": truth.nu,
         },
         args.seed,
-        t0,
     )
-    print(report.to_tsv(), end="")
-    return [args.out, manifest_path]
 
 
 def cmd_overlap(args):
-    t0 = time.time()
     maps = []
     for path in args.maps:
-        c = volume.read_container(path)
-        if c.kind != "decision":
-            raise volume.ContainerError(f"{path}: expected a decision volume, got {c.kind}")
+        c = _read(path, "decision", like=maps[0] if maps else None)
         maps.append(
             thresholding.ActivationMap(
                 dims=c.dims, mask=c.mask, decisions=c.values[0] > 0.5,
@@ -251,81 +226,57 @@ def cmd_overlap(args):
             )
         )
     matrix, summary = thresholding.overlap_matrix(maps)
-    with open(args.out, "w") as fh:
-        for row in matrix:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-        fh.write(
-            f"# min={summary.min!r} max={summary.max!r} "
-            f"median={summary.median!r} iqr={summary.iqr!r}\n"
-        )
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path,
-        "overlap",
-        {"maps": list(args.maps)},
-        {"matrix": args.out},
-        {
-            "n_maps": len(maps),
-            "min": summary.min,
-            "max": summary.max,
-            "median": summary.median,
-            "iqr": summary.iqr,
-        },
-        None,
-        t0,
+    _write_text(
+        "".join("\t".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+        + f"# min={summary.min!r} max={summary.max!r} "
+        f"median={summary.median!r} iqr={summary.iqr!r}\n",
+        args.out,
     )
     print(
         f"overlap: {len(maps)} maps, {len(maps) * (len(maps) - 1) // 2} pairs, "
         f"min={summary.min:.3f} max={summary.max:.3f} median={summary.median:.3f} "
         f"iqr={summary.iqr:.3f}"
     )
-    return [args.out, manifest_path]
+    return (
+        f"{args.out}.manifest.json",
+        {"maps": list(args.maps)},
+        {"matrix": args.out},
+        {"n_maps": len(maps), **vars(summary)},
+        None,
+    )
 
 
 def cmd_convert(args):
-    t0 = time.time()
-    c = volume.read_container(args.tstats)
-    if c.kind != "tstat":
-        raise volume.ContainerError(f"expected a tstat volume, got {c.kind}")
+    c = _read(args.tstats, "tstat")
     dofs = np.full(c.m, args.dof) if args.dof is not None else c.dofs
     pvals = np.vstack([volume.t_to_p(v, dof) for v, dof in zip(c.values, dofs)])
     out_c = volume.VolumeContainer(
         kind="pvalue", dims=c.dims, mask=c.mask, dofs=dofs, values=pvals
     )
     _write_volume(out_c, args.out)
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path, "convert", {"tstats": args.tstats}, {"pvals": args.out},
-        {"dof": args.dof}, None, t0,
-    )
     print(f"convert: {c.m} planes, {out_c.n_masked} voxels")
-    return [args.out, manifest_path]
+    return (f"{args.out}.manifest.json", {"tstats": args.tstats}, {"pvals": args.out},
+            {"dof": args.dof}, None)
 
 
 def cmd_split(args):
-    t0 = time.time()
     out_a, out_b = _two_paths(args.out, "--out")
-    data = volume.ReplicationSet.from_container(volume.read_container(args.input))
+    data = volume.ReplicationSet.from_container(_read(args.input, "pvalue"))
     idx_a, idx_b = simulate.split_replications(data.m, args.seed)
     _write_volume(data.subset(idx_a).to_container(), out_a)
     _write_volume(data.subset(idx_b).to_container(), out_b)
-    manifest_path = f"{out_a}.manifest.json"
-    _write_manifest(
-        manifest_path,
-        "split",
+    print(f"split: reps {idx_a.tolist()} | {idx_b.tolist()}")
+    return (
+        f"{out_a}.manifest.json",
         {"input": args.input},
         {"half_a": out_a, "half_b": out_b},
         {"indices_a": idx_a.tolist(), "indices_b": idx_b.tolist()},
         args.seed,
-        t0,
     )
-    print(f"split: reps {idx_a.tolist()} | {idx_b.tolist()}")
-    return [out_a, out_b, manifest_path]
 
 
 def cmd_dump(args):
-    t0 = time.time()
-    c = volume.read_container(args.input)
+    c = _read(args.input, None)
     nx, ny, nz = c.dims
     if not (0 <= args.slice < nz):
         raise volume.ContainerError(f"slice {args.slice} outside 0..{nz - 1}")
@@ -333,17 +284,16 @@ def cmd_dump(args):
         raise volume.ContainerError(f"rep {args.rep} outside 0..{c.m - 1}")
     full = np.full((nz, ny, nx), np.nan)
     full[c.mask] = c.values[args.rep]
-    with open(args.out, "w") as fh:
-        fh.write("x\ty\tvalue\n")
-        for y, x in zip(*np.nonzero(c.mask[args.slice])):
-            fh.write(f"{x}\t{y}\t{float(full[args.slice, y, x])!r}\n")
-    manifest_path = f"{args.out}.manifest.json"
-    _write_manifest(
-        manifest_path, "dump", {"input": args.input}, {"table": args.out},
-        {"slice": args.slice, "rep": args.rep, "kind": c.kind}, None, t0,
+    _write_text(
+        "x\ty\tvalue\n" + "".join(
+            f"{x}\t{y}\t{float(full[args.slice, y, x])!r}\n"
+            for y, x in zip(*np.nonzero(c.mask[args.slice]))
+        ),
+        args.out,
     )
     print(f"dump: slice {args.slice} of {args.input} ({c.kind})")
-    return [args.out, manifest_path]
+    return (f"{args.out}.manifest.json", {"input": args.input}, {"table": args.out},
+            {"slice": args.slice, "rep": args.rep, "kind": c.kind}, None)
 
 
 def _build_parser():
@@ -354,7 +304,7 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit the p-value mixture per voxel")
     p.add_argument("--input", required=True, help="p-value replication container")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help="recorded in the manifest; no effect")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("certainty", help="thresholds, certainties and decisions")
@@ -372,7 +322,7 @@ def _build_parser():
     p.add_argument("--N", type=int, required=True, help="number of voxels")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="report TSV path")
-    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help="recorded in the manifest; no effect")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("overlap", help="percent-overlap matrix of decision maps")
@@ -405,23 +355,32 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     del _written_paths[:]
+    t0 = time.time()
     try:
-        args.func(args)
+        manifest_path, inputs, outputs, config, seed = args.func(args)
+        manifest = {
+            "tool": "certmap",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "inputs": inputs,
+            "outputs": outputs,
+            "config": config,
+            "seed": seed,
+            "wall_time_s": round(time.time() - t0, 3),
+        }
+        _write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", manifest_path)
         return 0
-    except (volume.ContainerError, volume.SchemaError, ValueError) as exc:
-        print(f"certmap {args.subcommand}: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except OSError as exc:
-        print(f"certmap {args.subcommand}: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        for path in _written_paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        print(f"certmap {args.subcommand}: numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    except (ValueError, OSError) as exc:
+        code, message = VALIDATION_ERROR, str(exc)
+    except ArithmeticError as exc:
+        code, message = NUMERICAL_ERROR, f"numerical failure: {exc}"
+    for path in _written_paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+    print(f"certmap {args.subcommand}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -99,14 +99,17 @@ class VolumeFit:
 def _quantile_groups(pvalues, dofs):
     """Per dof group: (a, nu), a = x / sqrt(nu + x^2) for x the upper
     quantiles of the group's p-values, one row per voxel, sorted within each
-    row. delta * a is the mu at which the density ratio reads log M."""
+    row. delta * a is the mu at which the density ratio reads log M. Each a
+    is C-contiguous: numpy's order of summing a row follows the layout, and
+    np.sort of the transposed block would leave it column-major, so a
+    voxel's fit would depend on how the mask was split."""
     groups = []
     for nu in np.unique(dofs):
         p = np.sort(pvalues[dofs == nu].T, axis=1)
         x = special.t_upper_quantile(p, nu)
         if not np.isfinite(x).all():
             raise ValueError("fit: quantiles must be finite")
-        groups.append((x / np.hypot(math.sqrt(nu), x), nu))
+        groups.append((np.ascontiguousarray(x / np.hypot(math.sqrt(nu), x)), nu))
     return groups
 
 

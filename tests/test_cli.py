@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,11 +328,10 @@ def test_fit_rejects_removed_options(fixture_volumes, tmp_path, option):
     assert not (tmp_path / "f.lambda.vol").exists()
 
 
-def test_threads_option_and_env_have_no_effect(fixture_volumes, tmp_path, monkeypatch):
+def test_threads_option_has_no_effect(fixture_volumes, tmp_path):
     reps, _ = fixture_volumes
     main(["fit", "--input", str(reps), "--out", str(tmp_path / "a")])
-    monkeypatch.setenv("CERTMAP_THREADS", "3")
-    main(["fit", "--input", str(reps), "--out", str(tmp_path / "b")])
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "b"), "--threads", "3"])
     manifest = json.loads((tmp_path / "b.manifest.json").read_text())
     assert manifest["config"]["threads"] == 3
     for suffix in ("lambda", "delta", "converged"):
@@ -364,6 +364,80 @@ def test_numerical_error_removes_partial_outputs(fixture_volumes, tmp_path, monk
     assert rc == 3
     # the volume written before the failure was cleaned up
     assert not (tmp_path / "boom.lambda.vol").exists()
+
+
+def test_failed_manifest_write_removes_outputs(fixture_volumes, tmp_path):
+    # the manifest is written last; when it cannot be, the volumes written
+    # before it go, and the inputs and the directory in the way stay
+    reps, _ = fixture_volumes
+    (tmp_path / "f.manifest.json").mkdir()
+    assert main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "comp.vol", "f.manifest.json", "reps.vol"]
+
+
+@pytest.mark.parametrize("command, bad, reason", [
+    ("certainty", "{reps}", "expected one plane, got 3"),
+    ("certainty", "{t}/f.lambda.vol", "expected a pvalue volume, got lambda"),
+    ("overlap", "{t}/two.vol", "expected one plane, got 2"),
+    ("certainty", "{t}/other_p.vol", "dims or mask differ from the other inputs"),
+    ("overlap", "{t}/other_d.vol", "dims or mask differ from the other inputs"),
+], ids=["composite_replications", "composite_lambda", "overlap_two_planes",
+        "composite_other_grid", "overlap_other_grid"])
+def test_inputs_are_not_collapsed(fixture_volumes, tmp_path, capsys, command, bad, reason):
+    # the first three used to exit 0 reading plane 0, or lambda as p-values
+    reps, comp = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+    c = vol.read_container(comp)
+    other = c.mask.copy()
+    other[0, 0, 0] = False
+    for name, kind, mask, values in (
+        ("two.vol", "decision", c.mask, np.zeros((2, c.n_masked))),
+        ("other_p.vol", "pvalue", other, c.values[:, 1:]),
+        ("other_d.vol", "decision", other, c.values[:, 1:]),
+    ):
+        vol.write_container(vol.VolumeContainer(kind=kind, dims=c.dims, mask=mask,
+                                                dofs=np.full(len(values), 122.0),
+                                                values=values), tmp_path / name)
+    bad = bad.format(t=tmp_path, reps=reps)
+    if command == "certainty":
+        argv = ["certainty", "--fits", f"{tmp_path}/f.lambda.vol,{tmp_path}/f.delta.vol",
+                "--composite", bad]
+    else:
+        argv = ["overlap", "--maps", f"{tmp_path}/f.converged.vol", bad]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"{bad}: {reason}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "{reps}", "--out", "{t}/o"],
+    ["certainty", "--fits", "{t}/f.lambda.vol,{t}/f.delta.vol", "--composite", "{comp}",
+     "--out", "{t}/o"],
+    ["simulate", "--N", "20", "--M-range", "2", "--seed", "1", "--out", "{t}/o"],
+    ["overlap", "--maps", "{t}/f.converged.vol", "{t}/f.converged.vol", "--out", "{t}/o"],
+    ["convert", "--tstats", "{t}/t.vol", "--out", "{t}/o"],
+    ["split", "--input", "{t}/r4.vol", "--seed", "1", "--out", "{t}/o,{t}/o2"],
+    ["dump", "--input", "{reps}", "--slice", "0", "--out", "{t}/o"],
+], ids=lambda argv: argv[0])
+def test_manifest_keys_and_outputs(fixture_volumes, tmp_path, argv):
+    reps, comp = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+    c = vol.read_container(reps)
+    for name, kind, m in (("t.vol", "tstat", 3), ("r4.vol", "pvalue", 4)):
+        vol.write_container(
+            vol.VolumeContainer(kind=kind, dims=c.dims, mask=c.mask, dofs=np.full(m, 122.0),
+                                values=c.values[np.arange(m) % 3]), tmp_path / name)
+    assert main([a.format(t=tmp_path, reps=reps, comp=comp) for a in argv]) == 0
+    manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+    assert set(manifest) == {"tool", "version", "subcommand", "inputs", "outputs",
+                             "config", "seed", "wall_time_s"}
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["outputs"]
+    for path in manifest["outputs"].values():
+        assert Path(path).is_file()
 
 
 def test_inputs_never_mutated(fixture_volumes, tmp_path):
