@@ -152,11 +152,13 @@ def cmd_certainty(args):
             fits, composite, dof, taus=maps.tau
         )
     else:
-        if not args.tau_source.startswith("fdr:"):
-            raise volume.ContainerError(
-                f"tau source must be 'frontier' or 'fdr:q', got {args.tau_source!r}"
-            )
-        q = float(args.tau_source.split(":", 1)[1])
+        head, _, level = args.tau_source.partition(":")
+        try:
+            q = float(level) if head == "fdr" else float("nan")
+        except ValueError:
+            q = float("nan")
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"--tau-source: {args.tau_source!r} is not frontier or fdr:q, 0 < q < 1")
         decisions = thresholding.bh_fdr(composite, q, dims=comp_c.dims, mask=comp_c.mask)
         realized_cutoff = decisions.realized_cutoff
         maps = certainty.certainty_volume(fits, dof, tau_source=realized_cutoff)
@@ -185,13 +187,14 @@ def cmd_certainty(args):
 
 
 def _parse_m_range(text):
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad M range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    lo, dots, hi = text.partition("..")
+    try:
+        ms = list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in text.split(",")]
+    except ValueError:
+        ms = []
+    if not ms or min(ms) < 1:
+        raise ValueError(f"--M-range: bad M range {text!r}")
+    return ms
 
 
 def cmd_simulate(args):

@@ -10,14 +10,15 @@ has a closed form. So lam_hat(delta) is one safeguarded Newton solve on
 that derivative, and the fit reduces to maximizing the profile
 l(lam_hat(delta), delta) over the single variable v = log(delta - 1). The
 search covers the delta floor 1 + 1e-12 to the delta cap 50: a shared grid
-in v that includes both ends, then golden-section search in the grid cell
-around each voxel's best grid point. The result is never worse than the
-best grid point.
+in v that includes both ends, then 14 profile evaluations of Brent's search
+(Brent 1973, ch. 5) around each voxel's best grid point. A point replaces
+the best only if strictly better: the result is never worse than the best
+grid point, and ties keep it.
 
 The grid runs in blocks of _GRID_BLOCK voxels: one array pass evaluates
 all 97 grid points of a block, each lam solve starting from 0.5. Each
-golden-section step runs on all masked voxels at once, its lam solve warm
-started from the voxel's best grid lam_hat. Arrays hold one row per (voxel,
+Brent step runs on all masked voxels at once, its lam solve warm started
+from the best lam_hat found so far. Arrays hold one row per (voxel,
 delta) pair, and the lam solve steps only the rows still moving. The
 profile value costs one log per element (see _lam_hat); the reported
 log-likelihood is the model's log mixture at the final (lam, delta).
@@ -52,13 +53,13 @@ DELTA_CAP = 50.0
 _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
-_GOLDEN_STEPS = 40
+_BRENT_STEPS, _BRENT_TOL = 14, 1e-9  # refinement: profile evaluations, least step in v
 # voxels per grid pass: a block holds 97 rows per voxel in each array
 _GRID_BLOCK = 32
 _NEWTON_STEPS = 60
 # rounding floor of a slope sum, per unit of sum_j |t_j|
 _SLOPE_FLOOR = 8.0 * np.finfo(np.float64).eps
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # share of the bracket's larger part
 
 
 @dataclass(frozen=True)
@@ -213,35 +214,40 @@ def _fit(pvalues, dofs):
     """
     groups = _quantile_groups(pvalues, dofs)
     best_k, best_f, best_lam = _grid(groups, pvalues.shape[1])
-    best_v = _V_GRID[best_k]
 
-    def keep(v, f, lam):
-        better = f > best_f
-        best_f[better] = f[better]
-        best_v[better] = v[better]
-        best_lam[better] = lam[better]
-
-    # golden-section search over the cell on each side of the best grid point
-    last = _V_GRID.size - 1
+    # Brent's search over the cells on each side of the best grid point: pts
+    # holds x, the best point, then w and v, the next best; d and e are the
+    # last two steps. A step goes to the vertex of the parabola through x, w
+    # and v if inside [a, b] and under e / 2, else golden into the larger part.
     a = _V_GRID[np.maximum(best_k - 1, 0)]
-    b = _V_GRID[np.minimum(best_k + 1, last)]
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, lam1 = _profile(groups, x1, best_lam)
-    f2, lam2 = _profile(groups, x2, best_lam)
-    keep(x1, f1, lam1)
-    keep(x2, f2, lam2)
-    for _ in range(_GOLDEN_STEPS):
-        left = f1 >= f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x_new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new, lam_new = _profile(groups, x_new, best_lam)
-        keep(x_new, f_new, lam_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    b = _V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)]
+    pts, fs, row = np.tile(_V_GRID[best_k], (3, 1)), np.tile(best_f, (3, 1)), np.arange(3)[:, None]
+    d = e = np.zeros(best_k.size)
+    for _ in range(_BRENT_STEPS):
+        (x, w, v), (fx, fw, fv), mid = pts, fs, 0.5 * (a + b)
+        golden = np.where(x >= mid, a - x, b - x)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > _BRENT_TOL) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        step = np.divide(p, q, out=np.zeros(x.size), where=parabolic)
+        near_end = (x + step - a < 2.0 * _BRENT_TOL) | (b - x - step < 2.0 * _BRENT_TOL)
+        step = np.where(near_end, np.copysign(_BRENT_TOL, mid - x), step)
+        e, d = np.where(parabolic, d, golden), np.where(parabolic, step, _GOLDEN_CUT * golden)
+        u = np.clip(x + np.where(np.abs(d) >= _BRENT_TOL, d, np.copysign(_BRENT_TOL, d)), a, b)
+        fu, lam_u = _profile(groups, u, best_lam)
+        # u's rank among (x, w, v), 3 for none; x only if strictly better
+        rank = np.select([fu > fx, (fu >= fw) | (w == x), (fu >= fv) | (v == x) | (v == w)],
+                         [0, 1, 2], 3)
+        # of u and x, the worse one becomes an end of the bracket
+        end, inner = np.where(rank == 0, x, u), np.where(rank == 0, u, x)
+        a, b = np.where(end < inner, end, a), np.where(end > inner, end, b)
+        pts = np.where(row < rank, pts, np.where(row == rank, u, np.roll(pts, 1, axis=0)))
+        fs = np.where(row < rank, fs, np.where(row == rank, fu, np.roll(fs, 1, axis=0)))
+        best_lam = np.where(rank == 0, lam_u, best_lam)
 
-    delta = 1.0 + np.exp(best_v)
+    delta = 1.0 + np.exp(pts[0])
     return best_lam, delta, _log_mixture(best_lam[:, None], _log_ratios(groups, delta)).sum(axis=1)
 
 

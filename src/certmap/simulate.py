@@ -338,20 +338,26 @@ def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu):
     owner = np.repeat(np.arange(n), counts)
     first = np.cumsum(counts) - counts
     q = np.arange(counts.sum()) - first[owner] - (k_lo[owner] + 1)
-    lo = np.sign(q) * _HELLINGER_GRID[np.abs(q)]
-    hi = np.sign(q + 1) * _HELLINGER_GRID[np.abs(q + 1)]
+
+    # the edges are global, so every voxel shares a panel's nodes: psi is
+    # taken once per panel in use and a ratio once per distinct (delta,
+    # panel) of a side, then gathered; the same values, bit for bit
+    panels, row_panel = np.unique(q, return_inverse=True)
+    lo, hi = (np.sign(e) * _HELLINGER_GRID[np.abs(e)] for e in (panels, panels + 1))
     half = 0.5 * (hi - lo)
-    x = (lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    node_owner = np.repeat(owner, _HELLINGER_NODES)
+    x = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
+    w = (half[:, None] * weights[None, :])[row_panel]
+    psi = np.exp(special.t_pdf_log(x, nu))[row_panel]
 
     def sqrt_f(lam, delta):
-        logratio = special.nct_t_logratio(x, nu, delta[node_owner])
-        return np.exp(0.5 * _log_mixture(lam[node_owner], logratio))
+        deltas, which = np.unique(delta, return_inverse=True)
+        pairs, row_pair = np.unique(which[owner] * panels.size + row_panel, return_inverse=True)
+        logratio = special.nct_t_logratio(x[pairs % panels.size], nu,
+                                          deltas[pairs // panels.size, None])
+        return np.exp(0.5 * _log_mixture(lam[owner, None], logratio[row_pair]))
 
     diff = sqrt_f(lam_a, delta_a) - sqrt_f(lam_b, delta_b)
-    logpsi = special.t_pdf_log(x, nu)
-    total = np.add.reduceat(w * (diff * diff * np.exp(logpsi)), first * _HELLINGER_NODES)
+    total = np.add.reduceat((w * (diff * diff * psi)).ravel(), first * _HELLINGER_NODES)
     return np.clip(total, 0.0, 2.0)
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 
 def t_pdf_formula(x, nu):
@@ -143,6 +144,22 @@ def auc_quad(delta, nu, power_fn):
     tl = sum(quad(left_f, a, b, epsabs=1e-13, limit=300)[0] for a, b in zip(pts[:-1], pts[1:]))
     tr = sum(quad(right_f, a, b, epsabs=1e-13, limit=300)[0] for a, b in zip(pts[:-1], pts[1:]))
     return tl + 0.5 - tr
+
+
+def profile_max_bounded(loglik, delta_hat, xatol=1e-10):
+    """max of loglik(lam, delta) over lam in (0, 1) and delta within a factor
+    1.1 of delta_hat, clipped to [1, 50]: nested bounded scalar searches of
+    scipy (Brent's method on each variable), independent of the fitter's
+    grid, lam solve and refinement."""
+    def profile(delta):
+        inner = minimize_scalar(lambda lam: -loglik(lam, delta), bounds=(0.0, 1.0),
+                                method="bounded", options={"xatol": xatol})
+        return inner.fun
+
+    lo, hi = max(1.0, delta_hat / 1.1), min(50.0, delta_hat * 1.1)
+    outer = minimize_scalar(profile, bounds=(lo, hi), method="bounded",
+                            options={"xatol": xatol})
+    return -min(outer.fun, profile(lo), profile(hi))
 
 
 def bh_reject_bruteforce(pvals, q):

@@ -311,6 +311,26 @@ def test_path_pairs_need_two_paths(fixture_volumes, tmp_path, capsys):
     assert "--out needs two comma-separated paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--M-range", "2,,6"), ("--M-range", "3..2"), ("--M-range", "2..x"),
+    ("--tau-source", "fdr:abc"), ("--tau-source", "fdr"), ("--tau-source", "bogus:0.05"),
+    ("--tau-source", "fdr:1.5"), ("--M-range", "0,2"),
+])
+def test_malformed_option_names_itself(fixture_volumes, tmp_path, capsys, option, text):
+    reps, comp = fixture_volumes
+    if option == "--M-range":
+        argv = ["simulate", "--N", "5", "--seed", "1"]
+    else:
+        main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+        argv = ["certainty", "--fits", f"{tmp_path}/f.lambda.vol,{tmp_path}/f.delta.vol",
+                "--composite", str(comp)]
+    capsys.readouterr()
+    assert main([*argv, option, text, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{option}: " in err and repr(text) in err
+    assert not list(tmp_path.glob("o*"))
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["fit"])  # missing required flags

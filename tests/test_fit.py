@@ -11,6 +11,8 @@ from certmap import simulate as sim
 from certmap import special as sp
 from certmap.volume import ReplicationSet
 
+from oracles import profile_max_bounded
+
 
 def _draw_voxel(lam, delta, nu, m, rng):
     params = md.MixtureParams(lam, delta)
@@ -299,3 +301,50 @@ def test_fit_volume_bit_identical_under_any_grid_block(monkeypatch, block):
     again = ft.fit_volume(data)
     for field in ("lam", "delta", "loglik"):
         np.testing.assert_array_equal(getattr(again, field), getattr(whole, field))
+
+
+def test_fit_refinement_matches_bounded_search_oracle():
+    # scipy's nested bounded searches around each fit find no higher
+    # log-likelihood: dense M = 2, default M = 12, uniform nulls at nu = 4
+    # and mixed dofs
+    rng = np.random.default_rng(47)
+    dense = sim.generate_replications(sim.make_ground_truth(15, "dense", seed=47), 2, 47)
+    default = sim.generate_replications(sim.make_ground_truth(15, "default", seed=48), 12, 48)
+    mixed = sim.generate_replications(sim.make_ground_truth(15, "dense", seed=49), 9, 49)
+    cases = [(dense.pvalues, dense.dofs), (default.pvalues, default.dofs),
+             (rng.uniform(1e-12, 1.0, (12, 15)), np.full(12, 4.0)),
+             (mixed.pvalues, np.array([4.0, 10.0, 122.0] * 3))]
+    for pvalues, dofs in cases:
+        n = pvalues.shape[1]
+        fits = ft.fit_volume(ReplicationSet(dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool),
+                                            dofs=dofs, pvalues=pvalues))
+        for i in range(n):
+            # voxel_loglik with the quantiles taken once: they are 85% of its cost
+            pv = md.PValueVector(pvalues[:, i], dofs)
+            groups = [(sp.t_upper_quantile(pv.values[pv.dofs == nu], nu), nu)
+                      for nu in np.unique(pv.dofs)]
+
+            def loglik(lam, delta):
+                return sum(float(md._log_mixture(lam, sp.nct_t_logratio(x, nu, delta)).sum())
+                           for x, nu in groups)
+
+            at_fit = md.MixtureParams(float(fits.lam[i]), float(fits.delta[i]))
+            assert loglik(at_fit.lam, at_fit.delta) == md.voxel_loglik(pv, at_fit)
+            assert fits.loglik[i] >= profile_max_bounded(loglik, at_fit.delta) - 1e-9
+
+
+def test_fit_volume_profile_evaluations(monkeypatch):
+    # one _profile call per grid block, then a fixed _BRENT_STEPS for the
+    # refinement of every voxel at once
+    calls = []
+    profile = ft._profile
+
+    def counted(*args):
+        calls.append(None)
+        return profile(*args)
+
+    monkeypatch.setattr(ft, "_profile", counted)
+    for n in (1, 32, 70):
+        calls.clear()
+        ft.fit_volume(_small_volume(n=n, m=4))
+        assert len(calls) == -(-n // ft._GRID_BLOCK) + ft._BRENT_STEPS

@@ -317,16 +317,25 @@ def test_robustness_split_rejects_mixed_dofs():
 
 
 def test_hellinger_arrays_match_scalar_calls():
+    # voxels of one call share node values and, per distinct delta, density
+    # ratios: side b is a truth map with 3 distinct delta, side a repeats
+    # the fitted delta floor, and lam takes both ends
     rng = np.random.default_rng(30)
-    lam_a, lam_b = rng.uniform(0.0, 1.0, (2, 9))
-    delta_a, delta_b = rng.uniform(1.0, 50.0, (2, 9))
+    lam_a, lam_b = rng.uniform(0.0, 1.0, (2, 16))
+    delta_a = rng.uniform(1.0, 50.0, 16)
+    delta_b = np.array([2.0, 3.0, 6.0])[rng.integers(0, 3, 16)]
+    delta_a[9:14] = 1.0 + 1e-12
+    lam_a[[1, 9]], lam_a[[2, 10]], lam_b[[3, 11]], lam_b[[4, 12]] = 0.0, 1.0, 0.0, 1.0
     lam_b[0], delta_b[0] = lam_a[0], delta_a[0]
-    got = sim.hellinger_sq(MixtureParams(lam_a, delta_a), MixtureParams(lam_b, delta_b), 122.0)
-    assert got[0] == 0.0
-    for i in range(9):
-        want = sim.hellinger_sq(MixtureParams(float(lam_a[i]), float(delta_a[i])),
-                                MixtureParams(float(lam_b[i]), float(delta_b[i])), 122.0)
-        assert got[i] == want
+    a, b = MixtureParams(lam_a, delta_a), MixtureParams(lam_b, delta_b)
+    for nu in (4.0, 122.0):
+        got = sim.hellinger_sq(a, b, nu)
+        assert got[0] == 0.0
+        np.testing.assert_array_equal(sim.hellinger_sq(b, a, nu), got)
+        for i in range(16):
+            want = sim.hellinger_sq(MixtureParams(float(lam_a[i]), float(delta_a[i])),
+                                    MixtureParams(float(lam_b[i]), float(delta_b[i])), nu)
+            assert got[i] == want
 
 
 def test_score_fit_mask_split_is_invisible():
