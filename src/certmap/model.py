@@ -95,18 +95,22 @@ class PValueVector:
         clamped, n_clamped = clamp_pvalues(values)
         self.values = clamped
         self.dofs = dofs
-        self.n_clamped = n_clamped
+        self.n_clamped = int(n_clamped)
 
     @property
     def m(self):
         return self.values.size
 
 
-def clamp_pvalues(values):
-    """Clamp p-values into the open working interval; returns (array, count)."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.clip(values, CLAMP_LO, CLAMP_HI)
-    return out, int(np.count_nonzero(out != values))
+def clamp_pvalues(values, axis=None):
+    """Clamp p-values into [CLAMP_LO, CLAMP_HI]; returns (array, count).
+
+    A value counts as clamped when it sits at CLAMP_LO or CLAMP_HI after
+    clamping, so clamping again, or taking a subset of clamped values,
+    keeps the count. count is taken along axis (all values for None).
+    """
+    out = np.clip(np.asarray(values, dtype=np.float64), CLAMP_LO, CLAMP_HI)
+    return out, np.count_nonzero((out == CLAMP_LO) | (out == CLAMP_HI), axis=axis)
 
 
 def power(tau, delta, nu):

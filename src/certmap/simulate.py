@@ -317,7 +317,9 @@ def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu):
     logpsi = special.t_pdf_log(xs, nu)
 
     def psi_f(lam, delta):
-        return np.exp(logpsi + _log_mixture(lam[:, None], special.nct_t_logratio(xs, nu, delta[:, None])))
+        deltas, which = np.unique(delta, return_inverse=True)
+        logratio = special.nct_t_logratio(xs, nu, deltas[:, None])[which]
+        return np.exp(logpsi + _log_mixture(lam[:, None], logratio))
 
     g = psi_f(lam_a, delta_a) + psi_f(lam_b, delta_b)
     past = np.cumsum((cand * g.reshape(n, 2, nc))[:, :, ::-1], axis=2)[:, :, ::-1]

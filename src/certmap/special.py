@@ -2,9 +2,10 @@
 log-densities, quantiles.
 
 All functions are pure and vectorized over the primary argument; scalar input
-gives scalar output. The non-central density is evaluated entirely in log
-space so that far-tail density ratios stay meaningful even where both
-densities underflow.
+gives scalar output. The central CDF is one incomplete beta call, and the
+quantile is its inverse in closed form plus one Newton step. The non-central
+density is evaluated entirely in log space so that far-tail density ratios
+stay meaningful even where both densities underflow.
 
 The non-central machinery rests on one integral,
 
@@ -150,8 +151,14 @@ def t_pdf_log(x, nu):
 def t_quantile(p, nu):
     """Inverse of t_cdf on (0, 1).
 
-    Closed-form bracket through the inverse incomplete beta function, then a
-    Newton polish on the CDF residual with bisection as the safety net.
+    With q = min(p, 1 - p), one inverse incomplete beta call with
+    per-element parameters inverts t_cdf's two branches in closed form: for
+    q > 1/4 the central mass, I_w(1/2, nu/2) = 1 - 2q, t^2 = nu w / (1 - w),
+    which keeps the distance from 1/2; otherwise the tail, I_z(nu/2, 1/2) = 2q,
+    t^2 = nu (1 - z) / z, or t_cdf's leading term in log space below the
+    normal range of z. One Newton step on the CDF residual at q then absorbs
+    the inverse's own error. For p >= 1/2, 1 - p is exact and
+    t_quantile(1 - p) = -t_quantile(p).
     """
     nu = _as_dof(nu)
     arr, scalar = _prep(p)
@@ -159,30 +166,24 @@ def t_quantile(p, nu):
     if not ok.all():
         raise ValueError("t_quantile: p must lie strictly inside (0, 1)")
     q = np.minimum(arr, 1.0 - arr)
-    z = sc.betaincinv(0.5 * nu, 0.5, 2.0 * q)
-    tiny = z < 1e-300
-    t = np.sqrt(nu * (1.0 - z) / np.where(tiny, 1.0, z))
+    central = q > 0.25
+    y = sc.betaincinv(np.where(central, 0.5, 0.5 * nu), np.where(central, 0.5 * nu, 0.5),
+                      np.where(central, 1.0 - 2.0 * q, 2.0 * q))
+    tiny = ~central & (y < 1e-300)
+    # the quantile of q, at or below 0; neither branch's denominator is 0
+    t = -np.sqrt(nu * np.where(central, y, 1.0 - y) / np.where(central, 1.0 - y, np.where(tiny, 1.0, y)))
     # below the normal range z loses its digits or underflows to 0: invert
     # t_cdf's leading term beyond 1e150 in log space instead
     log_t = 0.5 * math.log(nu) - (np.log(2.0 * q[tiny]) + math.log(0.5 * nu)
                                   + sc.betaln(0.5 * nu, 0.5)) / nu
     if (log_t >= math.log(np.finfo(np.float64).max)).any():
         raise ValueError(f"t_quantile: |t| exceeds float64 for p this close to 0 or 1 at {nu!r} dof")
-    t[tiny] = np.exp(log_t)
-    t = np.where(arr < 0.5, -t, t)
-    # polish: two Newton steps against our own CDF
-    for _ in range(2):
-        res = np.atleast_1d(t_cdf(t, nu)) - arr
-        pdf = np.exp(np.atleast_1d(t_pdf_log(t, nu)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(pdf > 0.0, res / pdf, 0.0)
-        t = t - np.clip(step, -0.5 * (1.0 + np.abs(t)), 0.5 * (1.0 + np.abs(t)))
-    bad = np.abs(np.atleast_1d(t_cdf(t, nu)) - arr) > 1e-11
-    if bad.any():
-        t = t.copy()
-        for i in np.flatnonzero(bad):
-            t.flat[i] = _bisect_quantile(float(arr.flat[i]), nu)
-    return _unwrap(t, scalar)
+    t[tiny] = -np.exp(log_t)
+    res = t_cdf(t, nu) - q
+    pdf = np.exp(t_pdf_log(t, nu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t - np.where(pdf > 0.0, res / pdf, 0.0)
+    return _unwrap(np.where(arr >= 0.5, -t, t), scalar)
 
 
 def t_upper_quantile(p, nu):
@@ -192,27 +193,6 @@ def t_upper_quantile(p, nu):
     # -0.0 -> 0.0 keeps p = 0.5 tidy
     out = out + 0.0
     return _unwrap(out, scalar)
-
-
-def _bisect_quantile(p, nu):
-    lo, hi = -2.0, 2.0
-    while t_cdf(lo, nu) > p:
-        lo *= 8.0
-        if lo < -1e300:
-            break
-    while t_cdf(hi, nu) < p:
-        hi *= 8.0
-        if hi > 1e300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t_cdf(mid, nu) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

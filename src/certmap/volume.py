@@ -91,18 +91,10 @@ def _mask_to_rle(mask_flat):
 
 
 def _rle_to_mask(runs, n):
-    out = np.zeros(n, dtype=bool)
-    pos = 0
-    current = False
-    for r in runs:
-        if r < 0 or pos + r > n:
-            raise ContainerError("mask run-length encoding inconsistent with dims")
-        out[pos:pos + r] = current
-        pos += r
-        current = not current
-    if pos != n:
+    # the sum first: n > 0, so runs that sum to n are nonempty and have a min
+    if sum(runs) != n or min(runs) < 0:
         raise ContainerError("mask run-length encoding inconsistent with dims")
-    return out
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
 
 
 @dataclass
@@ -251,14 +243,15 @@ class ReplicationSet:
     """Masked geometry plus the M x N_masked replicated p-values.
 
     p-values are clamped into the open unit interval at construction;
-    clamp_counts records how many values were clamped per voxel.
+    clamp_counts records how many values per voxel sit at a clamp bound
+    (model.clamp_pvalues), so a subset keeps its share of the count.
     """
 
     dims: tuple
     mask: np.ndarray
     dofs: np.ndarray
     pvalues: np.ndarray
-    clamp_counts: np.ndarray = field(default=None)
+    clamp_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nx, ny, nz = (int(d) for d in self.dims)
@@ -279,13 +272,8 @@ class ReplicationSet:
             raise ValueError("p-values must be finite")
         if (self.pvalues < 0.0).any() or (self.pvalues > 1.0).any():
             raise ValueError("p-values must lie in [0, 1] at ingest")
-        clamped, _ = clamp_pvalues(self.pvalues)
-        per_voxel = np.count_nonzero(clamped != self.pvalues, axis=0)
-        self.pvalues = clamped
-        if self.clamp_counts is None:
-            self.clamp_counts = per_voxel.astype(np.int64)
-        else:
-            self.clamp_counts = np.asarray(self.clamp_counts, dtype=np.int64)
+        self.pvalues, per_voxel = clamp_pvalues(self.pvalues, axis=0)
+        self.clamp_counts = per_voxel.astype(np.int64)
 
     @property
     def m(self):

@@ -86,10 +86,9 @@ def test_t_upper_quantile_is_negated_quantile():
     np.testing.assert_allclose(sp.t_upper_quantile(ps, 122), -sp.t_quantile(ps, 122))
 
 
-def test_t_quantile_two_dimensional_input_with_bisection_fallback():
-    # p close to 0.5 can fail the Newton polish check (0.5000087249982931
-    # misses it by 6e-11) and go to the bisection fallback, which must index
-    # the 2-D array elementwise
+def test_t_quantile_two_dimensional_input():
+    # a 2-D array of p, near 0.5 among them, gives each element the value
+    # it gets alone
     ps = np.array([[0.49997282, 0.3, 0.5000087249982931], [0.2, 0.4, 0.6]])
     got = sp.t_upper_quantile(ps, 122.0)
     assert got.shape == (2, 3)
@@ -314,16 +313,33 @@ def test_dof_validation():
         sp.nct_cdf(0.0, 10, np.inf)
 
 
-def _t_cdf_mpmath(x, nu):
+def _t_cdf_mp(x, nu):
     # F(x) = 1/2 + x Gamma((nu+1)/2) 2F1(1/2, (nu+1)/2; 3/2; -x^2/nu)
-    #            / (sqrt(pi nu) Gamma(nu/2)), at 50 digits
+    #            / (sqrt(pi nu) Gamma(nu/2)), at mpmath's working precision
+    import mpmath as mp
+    half = mp.mpf(1) / 2
+    return half + x * mp.gamma((nu + 1) / 2) * mp.hyp2f1(
+        half, (nu + 1) / 2, 3 * half, -x * x / nu) / (mp.sqrt(mp.pi * nu) * mp.gamma(nu / 2))
+
+
+def _t_cdf_mpmath(x, nu):
     import mpmath as mp
     with mp.workdps(50):
-        x, nu = mp.mpf(x), mp.mpf(nu)
-        half = mp.mpf(1) / 2
-        val = half + x * mp.gamma((nu + 1) / 2) * mp.hyp2f1(
-            half, (nu + 1) / 2, 3 * half, -x * x / nu) / (mp.sqrt(mp.pi * nu) * mp.gamma(nu / 2))
-        return float(val)
+        return float(_t_cdf_mp(mp.mpf(x), mp.mpf(nu)))
+
+
+def _t_quantile_mpmath(p, nu):
+    # Newton steps on the 50-digit CDF, started from scipy's stdtrit
+    import mpmath as mp
+    from scipy.special import stdtrit
+    with mp.workdps(50):
+        nu_m = mp.mpf(nu)
+        log_c = mp.loggamma((nu_m + 1) / 2) - mp.loggamma(nu_m / 2) - mp.log(mp.pi * nu_m) / 2
+        x = mp.mpf(float(stdtrit(nu, p)))
+        for _ in range(8):
+            pdf = mp.exp(log_c - (nu_m + 1) / 2 * mp.log1p(x * x / nu_m))
+            x -= (_t_cdf_mp(x, nu_m) - p) / pdf
+        return float(x)
 
 
 def test_t_cdf_near_zero_matches_mpmath():
@@ -337,14 +353,16 @@ def test_t_cdf_near_zero_matches_mpmath():
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_t_quantile_near_half_polishes_without_bisection(monkeypatch):
-    def no_fallback(p, nu):
-        raise AssertionError(f"bisection fallback reached at p = {p!r}")
-
-    monkeypatch.setattr(sp, "_bisect_quantile", no_fallback)
-    ps = np.random.default_rng(20).uniform(0.4999, 0.5001, 600)
-    t = sp.t_quantile(ps, 122.0)
-    assert np.max(np.abs(sp.t_cdf(t, 122.0) - ps)) <= 1e-11
+@pytest.mark.parametrize("nu", [1.0, 4.0, 122.0, 1000.0])
+def test_t_quantile_relative_error_matches_mpmath(nu):
+    # tails, the central range and |p - 1/2| < 1e-4, where the tail form
+    # t^2 = nu (1 - z) / z cancels as z -> 1
+    near_half = 0.5 + np.array([-9.7e-5, -3.3e-6, -1.2e-9, 4.1e-7, 8.8e-5])
+    ps = np.concatenate([[1e-12, 3e-8, 1e-4, 0.01, 0.1, 0.2, 0.9, 1.0 - 1e-6],
+                         [0.26, 0.3, 0.4, 0.6, 0.74], near_half])
+    got = sp.t_quantile(ps, nu)
+    want = np.array([_t_quantile_mpmath(p, nu) for p in ps])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_nct_cdf_broadcasts_delta_bit_for_bit():

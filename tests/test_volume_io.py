@@ -111,6 +111,10 @@ def test_mask_rle_roundtrip():
     runs = vol._mask_to_rle(flat)
     back = vol._rle_to_mask(runs, flat.size)
     np.testing.assert_array_equal(back, flat)
+    # a negative run, runs that overrun dims, runs that fall short of them
+    for bad in ([-1, 98], [97, 5, -5], [50, 48], [50, 46], []):
+        with pytest.raises(vol.ContainerError, match="inconsistent with dims"):
+            vol._rle_to_mask(bad, flat.size)
 
 
 def test_t_to_p_basics():
@@ -149,6 +153,16 @@ def test_replication_set_subset():
     assert sub.m == 2
     np.testing.assert_array_equal(sub.pvalues[0], rs.pvalues[1])
     np.testing.assert_array_equal(sub.pvalues[1], rs.pvalues[4])
+
+
+def test_replication_set_subset_keeps_clamp_counts():
+    mask = np.ones((1, 1, 3), dtype=bool)
+    pv = np.array([[0.0, 0.5, 1.0], [0.2, 0.0, 0.3]])
+    rs = vol.ReplicationSet(dims=(3, 1, 1), mask=mask, dofs=np.full(2, 122.0), pvalues=pv)
+    assert rs.clamp_counts.tolist() == [1, 1, 1]
+    assert rs.subset([0, 1]).clamp_counts.tolist() == [1, 1, 1]
+    assert rs.subset([0]).clamp_counts.tolist() == [1, 0, 1]
+    assert rs.subset([1]).clamp_counts.tolist() == [0, 1, 0]
 
 
 def _write_csv(path, rows, header="x,y,z,rep,pvalue"):
