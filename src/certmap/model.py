@@ -90,10 +90,7 @@ class PValueVector:
             raise ValueError("values and dofs must have equal length")
         if not np.isfinite(dofs).all() or (dofs <= 0.0).any():
             raise ValueError("all dofs must be finite and positive")
-        if not np.isfinite(values).all() or (values < 0.0).any() or (values > 1.0).any():
-            raise ValueError("p-values must lie in [0, 1]")
-        clamped, n_clamped = clamp_pvalues(values)
-        self.values = clamped
+        self.values, n_clamped = clamp_pvalues(values)
         self.dofs = dofs
         self.n_clamped = int(n_clamped)
 
@@ -105,11 +102,14 @@ class PValueVector:
 def clamp_pvalues(values, axis=None):
     """Clamp p-values into [CLAMP_LO, CLAMP_HI]; returns (array, count).
 
-    A value counts as clamped when it sits at CLAMP_LO or CLAMP_HI after
-    clamping, so clamping again, or taking a subset of clamped values,
-    keeps the count. count is taken along axis (all values for None).
+    Non-finite values and values outside [0, 1] raise first. A value at a
+    bound after clamping counts as clamped, so clamping again or taking a
+    subset keeps the count. count is taken along axis (None: all values).
     """
-    out = np.clip(np.asarray(values, dtype=np.float64), CLAMP_LO, CLAMP_HI)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all() or (values < 0.0).any() or (values > 1.0).any():
+        raise ValueError("p-values must be finite and lie in [0, 1]")
+    out = np.clip(values, CLAMP_LO, CLAMP_HI)
     return out, np.count_nonzero((out == CLAMP_LO) | (out == CLAMP_HI), axis=axis)
 
 

@@ -21,7 +21,7 @@ values starting with False, in the same x-fastest order as the payload.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +129,8 @@ class VolumeContainer:
         if self.values.ndim == 1:
             self.values = self.values[None, :]
         m = self.values.shape[0]
+        if m < 1:
+            raise ContainerError(f"need at least one replication, got m={m}")
         if self.dofs.size != m:
             raise ContainerError(f"dofs length {self.dofs.size} does not match m={m}")
         if self.values.shape[1] != self.n_masked:
@@ -242,9 +244,9 @@ def read_container(path):
 class ReplicationSet:
     """Masked geometry plus the M x N_masked replicated p-values.
 
-    p-values are clamped into the open unit interval at construction;
-    clamp_counts records how many values per voxel sit at a clamp bound
-    (model.clamp_pvalues), so a subset keeps its share of the count.
+    The geometry is checked as a pvalue VolumeContainer's, the p-values by
+    model.clamp_pvalues; clamp_counts records how many values per voxel sit
+    at a clamp bound, so a subset keeps its share of the count.
     """
 
     dims: tuple
@@ -254,24 +256,12 @@ class ReplicationSet:
     clamp_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nx, ny, nz = (int(d) for d in self.dims)
-        self.dims = (nx, ny, nz)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (nz, ny, nx):
-            raise ValueError(f"mask shape {self.mask.shape} does not match dims {self.dims}")
-        self.dofs = np.atleast_1d(np.asarray(self.dofs, dtype=np.float64))
         self.pvalues = np.asarray(self.pvalues, dtype=np.float64)
         if self.pvalues.ndim != 2:
             raise ValueError("pvalues must be an (m, n_masked) array")
-        m, n = self.pvalues.shape
-        if self.dofs.size != m:
-            raise ValueError(f"dofs length {self.dofs.size} does not match m={m}")
-        if n != self.n_masked:
-            raise ValueError(f"pvalues columns {n} do not match {self.n_masked} masked voxels")
-        if not np.isfinite(self.pvalues).all():
-            raise ValueError("p-values must be finite")
-        if (self.pvalues < 0.0).any() or (self.pvalues > 1.0).any():
-            raise ValueError("p-values must lie in [0, 1] at ingest")
+        # the container checks dims, mask, dofs and the plane and column counts
+        geometry = self.to_container()
+        self.dims, self.mask, self.dofs = geometry.dims, geometry.mask, geometry.dofs
         self.pvalues, per_voxel = clamp_pvalues(self.pvalues, axis=0)
         self.clamp_counts = per_voxel.astype(np.int64)
 
@@ -322,29 +312,25 @@ def t_to_p(tstats, dof):
     return special.t_sf(arr, dof)
 
 
-def _read_rows(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty CSV file")
-        header = [h.strip().lower() for h in header]
-        if header[:4] != ["x", "y", "z", "rep"] or len(header) != 5 or header[4] not in (
-            "pvalue",
-            "tstat",
-        ):
-            raise SchemaError(
-                "CSV header must be x,y,z,rep,pvalue or x,y,z,rep,tstat, got "
-                + ",".join(header)
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+def _row_error(path):
+    """SchemaError naming the line of the first faulty CSV data row; np.loadtxt's
+    messages count rows from the data and skip blank lines, so they cannot."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path}: line {lineno}"
+            cells = [c.strip().strip('"') for c in line.rstrip("\n").split(",")]
+            if cells == [""]:
                 continue
-            if len(row) != 5:
-                raise SchemaError(f"line {lineno}: expected 5 columns, got {len(row)}")
-            rows.append((int(row[0]), int(row[1]), int(row[2]), int(row[3]), float(row[4])))
-    return header[4], rows
+            if len(cells) != 5:
+                return SchemaError(f"{where}: expected 5 columns, got {len(cells)}")
+            try:
+                numbers = [float(c) for c in cells]
+            except ValueError:
+                return SchemaError(f"{where}: not five numbers: {line.strip()}")
+            if not all(v.is_integer() for v in numbers[:4]):
+                return SchemaError(f"{where}: x, y, z and rep must be integers: {line.strip()}")
+    return SchemaError(f"{path}: a data row is not x, y, z and rep as integers and a number")
 
 
 def import_csv(path, dofs=None):
@@ -352,36 +338,56 @@ def import_csv(path, dofs=None):
 
     Columns are (x, y, z, rep, pvalue) or (x, y, z, rep, tstat). Voxels
     absent from the file stay unmasked; every masked voxel must carry all
-    replications exactly once. For t-statistics, `dofs` (scalar or one value
-    per replication) is required and can also be supplied as a sidecar file
-    `<path>.dofs` holding one dof per line.
+    replications exactly once. x, y, z and rep must be integral (3.0 reads
+    as 3); a row that cannot be read raises SchemaError naming path and line.
+    t-statistics need `dofs` (scalar or one per replication), passed or in a
+    sidecar file `<path>.dofs` holding one dof per line.
     """
-    value_kind, rows = _read_rows(str(path))
-    if not rows:
-        raise SchemaError("CSV contains no data rows")
-
-    reps = sorted({r[3] for r in rows})
-    base = reps[0]
-    if base not in (0, 1) or reps != list(range(base, base + len(reps))):
-        raise SchemaError(f"replication indices must be contiguous from 0 or 1, got {reps}")
-    m = len(reps)
-    nx = max(r[0] for r in rows) + 1
-    ny = max(r[1] for r in rows) + 1
-    nz = max(r[2] for r in rows) + 1
-    if min(r[0] for r in rows) < 0 or min(r[1] for r in rows) < 0 or min(r[2] for r in rows) < 0:
-        raise SchemaError("voxel coordinates must be non-negative")
-
-    if value_kind == "tstat":
-        if dofs is None:
-            sidecar = str(path) + ".dofs"
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise SchemaError("empty CSV file")
+        header = [h.strip().strip('"').lower() for h in first.split(",")]
+        if header[:4] != ["x", "y", "z", "rep"] or header[4:] not in (["pvalue"], ["tstat"]):
+            raise SchemaError(
+                "CSV header must be x,y,z,rep,pvalue or x,y,z,rep,tstat, got "
+                + ",".join(header)
+            )
+        value_kind = header[4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: raised below
             try:
-                with open(sidecar) as fh:
-                    dofs = [float(line) for line in fh if line.strip()]
-            except FileNotFoundError:
-                raise SchemaError(
-                    "t-statistic CSV needs dofs: pass dofs= or provide a "
-                    f"sidecar file {sidecar}"
-                ) from None
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:
+                raise _row_error(path) from None
+    if len(table) == 0:
+        raise SchemaError("CSV contains no data rows")
+    coords = table[:, :4]
+    if table.shape[1] != 5 or not (np.isfinite(coords) & (coords == np.floor(coords))).all():
+        raise _row_error(path)
+    x, y, z, rep = coords.astype(np.int64).T
+
+    reps = np.unique(rep)
+    base = int(reps[0])
+    if base not in (0, 1) or not np.array_equal(reps, np.arange(base, base + reps.size)):
+        raise SchemaError(
+            f"replication indices must be contiguous from 0 or 1, got {reps.tolist()}"
+        )
+    m = reps.size
+    if min(x.min(), y.min(), z.min()) < 0:
+        raise SchemaError("voxel coordinates must be non-negative")
+    nx, ny, nz = int(x.max()) + 1, int(y.max()) + 1, int(z.max()) + 1
+
+    if value_kind == "tstat" and dofs is None:
+        sidecar = f"{path}.dofs"
+        try:
+            with open(sidecar) as fh:
+                dofs = [float(line) for line in fh if line.strip()]
+        except FileNotFoundError:
+            raise SchemaError(
+                "t-statistic CSV needs dofs: pass dofs= or provide a "
+                f"sidecar file {sidecar}"
+            ) from None
     if dofs is None:
         raise SchemaError("dofs are required (scalar or one per replication)")
     dofs = np.atleast_1d(np.asarray(dofs, dtype=np.float64))
@@ -390,33 +396,26 @@ def import_csv(path, dofs=None):
     if dofs.size != m:
         raise SchemaError(f"got {dofs.size} dofs for {m} replications")
 
-    seen = {}
-    for x, y, z, rep, value in rows:
-        key = (x, y, z, rep - base)
-        if key in seen:
-            raise SchemaError(f"duplicate entry for voxel ({x}, {y}, {z}) replication {rep}")
-        seen[key] = value
-
-    # masked-voxel columns follow the container payload order (x fastest)
-    coords = sorted({(x, y, z) for (x, y, z, _) in seen}, key=lambda c: (c[2], c[1], c[0]))
+    # one index per (voxel, replication) cell; sorted, the cells run through
+    # the voxels in payload (x-fastest) order, replications innermost
+    cell = np.ravel_multi_index((z, y, x, rep - base), (nz, ny, nx, m))
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    repeats = order[1:][cell[1:] == cell[:-1]]
+    if repeats.size:
+        k = repeats.min()  # the first row, in file order, that repeats a cell
+        raise SchemaError(
+            f"duplicate entry for voxel ({x[k]}, {y[k]}, {z[k]}) replication {rep[k]}"
+        )
+    voxels = np.unique(cell // m)
+    if cell.size != voxels.size * m:
+        first = np.setdiff1d((voxels[:, None] * m + np.arange(m)).ravel(), cell)[0]
+        vz, vy, vx = np.unravel_index(first // m, (nz, ny, nx))
+        raise SchemaError(f"voxel ({vx}, {vy}, {vz}) is missing replication {first % m + base}")
     mask = np.zeros((nz, ny, nx), dtype=bool)
-    for x, y, z in coords:
-        mask[z, y, x] = True
-
-    values = np.empty((m, len(coords)))
-    for i, (x, y, z) in enumerate(coords):
-        for j in range(m):
-            try:
-                values[j, i] = seen[(x, y, z, j)]
-            except KeyError:
-                raise SchemaError(
-                    f"voxel ({x}, {y}, {z}) is missing replication {j + base}"
-                ) from None
+    mask.flat[voxels] = True
+    values = np.ascontiguousarray(table[order, 4].reshape(voxels.size, m).T)
 
     if value_kind == "tstat":
-        pvalues = np.empty_like(values)
-        for j in range(m):
-            pvalues[j] = t_to_p(values[j], dofs[j])
-    else:
-        pvalues = values
-    return ReplicationSet(dims=(nx, ny, nz), mask=mask, dofs=dofs, pvalues=pvalues)
+        values = np.array([t_to_p(row, dof) for row, dof in zip(values, dofs)])
+    return ReplicationSet(dims=(nx, ny, nz), mask=mask, dofs=dofs, pvalues=values)

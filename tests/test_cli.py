@@ -366,6 +366,19 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_zero_replications_rejected(tmp_path, capsys):
+    # a container that parses but holds no replication plane used to reach
+    # the fit and fail there with numpy's message about an empty concatenate
+    header = ("certmap-volume 1\nkind: pvalue\ndims: 2 1 1\nm: 0\ndofs: \n"
+              "mask: rle 0 2\nendian: little\npayload-bytes: 0\npayload:\n")
+    (tmp_path / "empty.vol").write_text(header)
+    capsys.readouterr()
+    assert main(["fit", "--input", str(tmp_path / "empty.vol"),
+                 "--out", str(tmp_path / "f")]) == 2
+    assert "m=0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.vol"]
+
+
 def test_numerical_error_removes_partial_outputs(fixture_volumes, tmp_path, monkeypatch):
     reps, _ = fixture_volumes
     import certmap.cli as cli_mod

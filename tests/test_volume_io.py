@@ -5,6 +5,7 @@ import pytest
 
 from certmap import volume as vol
 from certmap import special as sp
+from certmap.model import PValueVector
 
 from oracles import t_cdf_quad
 
@@ -165,6 +166,44 @@ def test_replication_set_subset_keeps_clamp_counts():
     assert rs.subset([1]).clamp_counts.tolist() == [0, 1, 0]
 
 
+def _replication_set(pvalues, dofs=(122.0, 122.0), n_masked=3):
+    mask = np.arange(4).reshape(1, 1, 4) < n_masked
+    return vol.ReplicationSet(dims=(4, 1, 1), mask=mask, dofs=np.asarray(dofs), pvalues=pvalues)
+
+
+GOOD = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+
+
+def _good_with(value):
+    pvalues = GOOD.copy()
+    pvalues[0, 1] = value
+    return pvalues
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _replication_set(_good_with(np.nan)),
+    lambda: _replication_set(_good_with(-1e-300)),
+    lambda: _replication_set(_good_with(1.0 + 1e-15)),
+    lambda: PValueVector(_good_with(np.nan)[0], 122.0),
+    lambda: PValueVector(_good_with(-1e-300)[0], 122.0),
+    lambda: PValueVector(_good_with(1.0 + 1e-15)[0], 122.0),
+    lambda: _replication_set(GOOD, dofs=(122.0, 122.0, 122.0)),
+    lambda: _replication_set(GOOD, n_masked=2),
+    lambda: _replication_set(GOOD[0], dofs=(122.0,)),
+], ids=["set-nan", "set-negative", "set-above-one", "vector-nan", "vector-negative",
+        "vector-above-one", "set-dofs-per-plane", "set-columns-per-mask", "set-1d"])
+def test_constructors_reject_invalid_pvalues_and_geometry(build):
+    _replication_set(GOOD)
+    PValueVector(GOOD[0], 122.0)
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_zero_replications_rejected():
+    with pytest.raises(vol.ContainerError, match="m=0"):
+        _replication_set(np.empty((0, 3)), dofs=())
+
+
 def _write_csv(path, rows, header="x,y,z,rep,pvalue"):
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -245,3 +284,53 @@ def test_import_csv_columns_follow_payload_order(tmp_path):
     full[c.mask] = c.values[0]
     assert full[0, 0, 1] == 0.111
     assert full[0, 1, 0] == 0.222
+
+
+def test_import_csv_bit_identical_to_replication_set(tmp_path):
+    # shuffled rows, 1-based replications, t statistics with one dof per
+    # replication and a sparse mask give the ReplicationSet of the arrays
+    rng = np.random.default_rng(11)
+    dims, m = (4, 3, 2), 5
+    mask = rng.random((2, 3, 4)) < 0.4
+    dofs = rng.uniform(8.0, 150.0, m)
+    tstats = rng.normal(0.0, 3.0, (m, int(mask.sum())))
+    expected = vol.ReplicationSet(
+        dims=dims, mask=mask, dofs=dofs,
+        pvalues=np.array([vol.t_to_p(t, d) for t, d in zip(tstats, dofs)]))
+    z, y, x = np.nonzero(mask)
+    rows = [(x[i], y[i], z[i], j + 1, repr(float(tstats[j, i])))
+            for i in range(x.size) for j in range(m)]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    path = tmp_path / "t.csv"
+    _write_csv(path, rows, header="x,y,z,rep,tstat")
+    got = vol.import_csv(path, dofs=dofs)
+    assert got.dims == expected.dims
+    for name in ("mask", "dofs", "pvalues", "clamp_counts"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("row, reason", [
+    ((0, 0, 0, 2, "abc"), "line 3: not five numbers"),
+    ((1.5, 0, 0, 2, 0.5), "line 3: x, y, z and rep must be integers"),
+    ((0, 0, 0, 2), "line 3: expected 5 columns, got 4"),
+], ids=["non-numeric", "fractional-coordinate", "four-columns"])
+def test_import_csv_malformed_row_named(tmp_path, row, reason):
+    path = tmp_path / "bad.csv"
+    _write_csv(path, [(0, 0, 0, 1, 0.5), row, (0, 0, 0, 3, 0.5)])
+    with pytest.raises(vol.SchemaError) as err:
+        vol.import_csv(path, dofs=122.0)
+    assert f"{path}: {reason}" in str(err.value)
+
+
+def test_import_csv_reads_integral_floats(tmp_path):
+    # coordinates and replication numbers written as floats name the same
+    # voxel and replication as the integers
+    as_ints, as_floats = tmp_path / "i.csv", tmp_path / "f.csv"
+    rows = [(2, 0, 1, 1, 0.25), (0, 1, 0, 1, 0.5), (2, 0, 1, 2, 0.75), (0, 1, 0, 2, 0.125)]
+    _write_csv(as_ints, rows)
+    _write_csv(as_floats, [(float(x), float(y), f"{z}.0", f"{r}e0", p) for x, y, z, r, p in rows])
+    a, b = vol.import_csv(as_ints, dofs=122.0), vol.import_csv(as_floats, dofs=122.0)
+    assert a.dims == b.dims == (3, 2, 2)
+    np.testing.assert_array_equal(a.mask, b.mask)
+    assert a.pvalues.tobytes() == b.pvalues.tobytes()
