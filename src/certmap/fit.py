@@ -131,7 +131,10 @@ def _q_r(logr):
 def _lam_hat(logr, lam):
     """Row-wise maximizer of l(lam) = sum_j log(1 - lam + lam R_j) over the
     clipped unit interval, by Newton steps from the starting values lam.
-    Returns (lam_hat, l(lam_hat)).
+    Returns (lam_hat, profile value): l(lam_hat), except where lam_hat sits
+    at its lower clip. There the supremum over lam is the lam = 0 value,
+    exactly 0 whatever delta is (the mixture is uniform), so such voxels tie
+    across delta and keep the first grid point, the delta floor.
 
     With q = min(R, 1) and r = min(1/R, 1) (_q_r), the slope term is
     (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
@@ -154,11 +157,14 @@ def _lam_hat(logr, lam):
         return dq / (r + lam[:, None] * dq)
 
     at_lo = terms(np.full(len(logr), _LAM_EPS)).sum(axis=1) <= 0.0
-    at_hi = terms(np.full(len(logr), 1.0 - _LAM_EPS)).sum(axis=1) >= 0.0
-    lam = np.where(at_lo, _LAM_EPS, np.where(at_hi, 1.0 - _LAM_EPS, lam))
-    live = np.flatnonzero(~(at_lo | at_hi))
+    live = np.flatnonzero(~at_lo)
+    dq, r = dq[live], r[live]
+    at_hi = terms(np.full(live.size, 1.0 - _LAM_EPS)).sum(axis=1) >= 0.0
+    lam = np.where(at_lo, _LAM_EPS, lam)
+    lam[live[at_hi]] = 1.0 - _LAM_EPS
+    live, dq, r = live[~at_hi], dq[~at_hi], r[~at_hi]
     lo, hi = np.full(live.size, _LAM_EPS), np.full(live.size, 1.0 - _LAM_EPS)
-    x, dq, r = lam[live], dq[live], r[live]
+    x = lam[live]
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
@@ -171,21 +177,18 @@ def _lam_hat(logr, lam):
         moving = (np.abs(new - x) > 1e-15 * x) & (np.abs(g) > _SLOPE_FLOOR * np.abs(t).sum(axis=1))
         live, lo, hi, x, dq, r = (a[moving] for a in (live, lo, hi, new, dq, r))
         lam[live] = x
-    mix = (1.0 - lam)[:, None] * r_all + lam[:, None] * q_all
-    return lam, np.log(mix).sum(axis=1) + np.maximum(logr, 0.0).sum(axis=1)
+    value = np.zeros(lam.size)
+    k = np.flatnonzero(lam != _LAM_EPS)
+    mix = (1.0 - lam[k, None]) * r_all[k] + lam[k, None] * q_all[k]
+    value[k] = np.log(mix).sum(axis=1) + np.maximum(logr[k], 0.0).sum(axis=1)
+    return lam, value
 
 
 def _profile(groups, v, lam0):
     """(profile log-likelihood, lam_hat) at delta = 1 + e^v, one v per
-    row; the lam search starts from lam0.
-
-    Where lam_hat sits at its lower clip, the supremum over lam is the
-    lam = 0 value, exactly 0 whatever delta is (the mixture is uniform).
-    Using it makes such voxels tie across delta, so they keep the first grid
-    point, the delta floor.
-    """
+    row; the lam search starts from lam0 (see _lam_hat)."""
     lam, f = _lam_hat(_log_ratios(groups, 1.0 + np.exp(v)), lam0)
-    return np.where(lam == _LAM_EPS, 0.0, f), lam
+    return f, lam
 
 
 def _grid(groups, n):

@@ -312,6 +312,11 @@ def t_to_p(tstats, dof):
     return special.t_sf(arr, dof)
 
 
+# bound on |x|, |y|, |z| and |rep|: larger values would wrap in the int64
+# cast or ask for a mask of many GiB
+_COORD_LIMIT = 2.0 ** 31
+
+
 def _row_error(path):
     """SchemaError naming the line of the first faulty CSV data row; np.loadtxt's
     messages count rows from the data and skip blank lines, so they cannot."""
@@ -330,7 +335,31 @@ def _row_error(path):
                 return SchemaError(f"{where}: not five numbers: {line.strip()}")
             if not all(v.is_integer() for v in numbers[:4]):
                 return SchemaError(f"{where}: x, y, z and rep must be integers: {line.strip()}")
+            if max(abs(v) for v in numbers[:4]) >= _COORD_LIMIT:
+                return SchemaError(f"{where}: x, y, z and rep must be below 2**31 in magnitude: "
+                                   f"{line.strip()}")
     return SchemaError(f"{path}: a data row is not x, y, z and rep as integers and a number")
+
+
+def _sidecar_dofs(sidecar):
+    """The dofs of a sidecar file, one per non-blank line; a line that is not
+    a number raises SchemaError naming the file and line."""
+    try:
+        with open(sidecar) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise SchemaError(
+            "t-statistic CSV needs dofs: pass dofs= or provide a "
+            f"sidecar file {sidecar}"
+        ) from None
+    dofs = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                dofs.append(float(line))
+            except ValueError:
+                raise SchemaError(f"{sidecar}: line {lineno}: not a number: {line.strip()}") from None
+    return dofs
 
 
 def import_csv(path, dofs=None):
@@ -339,7 +368,8 @@ def import_csv(path, dofs=None):
     Columns are (x, y, z, rep, pvalue) or (x, y, z, rep, tstat). Voxels
     absent from the file stay unmasked; every masked voxel must carry all
     replications exactly once. x, y, z and rep must be integral (3.0 reads
-    as 3); a row that cannot be read raises SchemaError naming path and line.
+    as 3) and below 2**31 in magnitude; a row that cannot be read raises
+    SchemaError naming path and line.
     t-statistics need `dofs` (scalar or one per replication), passed or in a
     sidecar file `<path>.dofs` holding one dof per line.
     """
@@ -363,7 +393,8 @@ def import_csv(path, dofs=None):
     if len(table) == 0:
         raise SchemaError("CSV contains no data rows")
     coords = table[:, :4]
-    if table.shape[1] != 5 or not (np.isfinite(coords) & (coords == np.floor(coords))).all():
+    if table.shape[1] != 5 or not (np.isfinite(coords) & (coords == np.floor(coords))
+                                   & (np.abs(coords) < _COORD_LIMIT)).all():
         raise _row_error(path)
     x, y, z, rep = coords.astype(np.int64).T
 
@@ -379,15 +410,7 @@ def import_csv(path, dofs=None):
     nx, ny, nz = int(x.max()) + 1, int(y.max()) + 1, int(z.max()) + 1
 
     if value_kind == "tstat" and dofs is None:
-        sidecar = f"{path}.dofs"
-        try:
-            with open(sidecar) as fh:
-                dofs = [float(line) for line in fh if line.strip()]
-        except FileNotFoundError:
-            raise SchemaError(
-                "t-statistic CSV needs dofs: pass dofs= or provide a "
-                f"sidecar file {sidecar}"
-            ) from None
+        dofs = _sidecar_dofs(f"{path}.dofs")
     if dofs is None:
         raise SchemaError("dofs are required (scalar or one per replication)")
     dofs = np.atleast_1d(np.asarray(dofs, dtype=np.float64))

@@ -287,10 +287,13 @@ def test_one_log_profile_value_matches_log_mixture():
     lam, value = ft._lam_hat(logr, np.full(300, 0.5))
     assert (lam == ft._LAM_EPS).any() and (lam == 1.0 - ft._LAM_EPS).any()
     assert ((lam > ft._LAM_EPS) & (lam < 1.0 - ft._LAM_EPS)).any()
-    terms = md._log_mixture(lam[:, None], logr)
+    # at the lower clip the value is the lam = 0 supremum, exactly 0
+    clip = lam == ft._LAM_EPS
+    assert (value[clip] == 0.0).all()
+    terms = md._log_mixture(lam[~clip, None], logr[~clip])
     # a row sum near 8 400 carries rounding of 1e-12, so the bound scales
     # with the magnitude of the row's terms
-    assert (np.abs(value - terms.sum(axis=1)) <= 1e-14 * (1.0 + np.abs(terms).sum(axis=1))).all()
+    assert (np.abs(value[~clip] - terms.sum(axis=1)) <= 1e-14 * (1.0 + np.abs(terms).sum(axis=1))).all()
 
 
 @pytest.mark.parametrize("block", [1, 7, 32, None])

@@ -255,6 +255,15 @@ def test_import_csv_tstat_sidecar_dofs(tmp_path):
     assert rs.pvalues[0, 0] != rs.pvalues[1, 0]
 
 
+def test_import_csv_sidecar_dofs_line_named(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, [(0, 0, 0, 1, 1.0)], header="x,y,z,rep,tstat")
+    (tmp_path / "t.csv.dofs").write_text("abc\n")
+    with pytest.raises(vol.SchemaError) as err:
+        vol.import_csv(path)
+    assert f"{path}.dofs: line 1: not a number: abc" in str(err.value)
+
+
 def test_import_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     _write_csv(path, [(0, 0, 0, 1, 0.5)], header="a,b,c,d,e")
@@ -314,7 +323,11 @@ def test_import_csv_bit_identical_to_replication_set(tmp_path):
     ((0, 0, 0, 2, "abc"), "line 3: not five numbers"),
     ((1.5, 0, 0, 2, 0.5), "line 3: x, y, z and rep must be integers"),
     ((0, 0, 0, 2), "line 3: expected 5 columns, got 4"),
-], ids=["non-numeric", "fractional-coordinate", "four-columns"])
+    # 1e20 would wrap in the int64 cast; 1e11 would ask for a 93 GiB mask
+    ((1e20, 0, 0, 2, 0.5), "line 3: x, y, z and rep must be below 2**31 in magnitude"),
+    ((1e11, 0, 0, 2, 0.5), "line 3: x, y, z and rep must be below 2**31 in magnitude"),
+    ((0, -1e20, 0, 2, 0.5), "line 3: x, y, z and rep must be below 2**31 in magnitude"),
+], ids=["non-numeric", "fractional-coordinate", "four-columns", "x-1e20", "x-1e11", "y-minus-1e20"])
 def test_import_csv_malformed_row_named(tmp_path, row, reason):
     path = tmp_path / "bad.csv"
     _write_csv(path, [(0, 0, 0, 1, 0.5), row, (0, 0, 0, 3, 0.5)])
