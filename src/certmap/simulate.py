@@ -18,6 +18,7 @@ SeedSequence or a bit generator of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import certainty, special
-from .fit import fit_volume
+from .fit import DELTA_CAP, fit_volume
 from .model import CLAMP_HI, CLAMP_LO, MixtureParams, _log_mixture
 from .volume import ReplicationSet
 
@@ -272,8 +273,8 @@ def make_composite(data):
 _HELLINGER_NODES = 48
 # panel edges on each side of 0: 0, 1, 2, 4, ..., 2^40
 _HELLINGER_GRID = np.concatenate([[0.0], 2.0 ** np.arange(0, 41)])
-# voxel pairs per block: a pair has at most 84 panels of 48 nodes, so each
-# node array of a block stays under 5 MB
+# voxel pairs per block: a layout has at most 82 panels of 48 nodes, so
+# each node array of a block stays under 5 MB
 _HELLINGER_BLOCK = 128
 
 
@@ -283,10 +284,16 @@ def hellinger_sq(params_a, params_b, nu):
     params_a and params_b hold one voxel each, or arrays of one shape with
     one entry per voxel; the result is a float or an array of that shape.
     Integrates on the statistic scale x = Psi^{-1}(1 - p), where the
-    integrand (sqrt f_a - sqrt f_b)^2 psi_nu(x) is smooth; geometric panels
-    extend on both sides until the truncated mass of every component drops
-    below tolerance, separately for each voxel. Absolute accuracy is well
-    inside 1e-6.
+    integrand (sqrt f_a - sqrt f_b)^2 psi_nu(x) is smooth, on 48-node
+    Gauss-Legendre panels between the edges 0, +-1, +-2, +-4, .... A pair's
+    panels depend only on nu and on d_max, its larger delta rounded up to
+    fit.DELTA_CAP or above that to the next power of two; _hellinger_layout
+    bounds their truncation in closed form. With h = log(f) / 2 on each
+    side, the integrand is formed in log space as
+    psi_nu exp(2 max(h_a, h_b)) expm1(-|h_a - h_b|)^2: it stays finite where
+    the density ratio f overflows, and swapping a and b changes no bit.
+    Each pair is summed along its own row, so its value does not depend on
+    the other pairs of the call. Absolute accuracy is well inside 1e-6.
     """
     nu = float(nu)
     pairs = [np.asarray(v, dtype=np.float64)
@@ -294,73 +301,50 @@ def hellinger_sq(params_a, params_b, nu):
     shape = np.broadcast_shapes(*(v.shape for v in pairs))
     lam_a, delta_a, lam_b, delta_b = (np.broadcast_to(v, shape).ravel() for v in pairs)
     out = np.zeros(lam_a.size)
-    differ = np.flatnonzero((lam_a != lam_b) | (delta_a != delta_b))
-    for a in range(0, differ.size, _HELLINGER_BLOCK):
-        k = differ[a:a + _HELLINGER_BLOCK]
-        out[k] = _hellinger_block(lam_a[k], delta_a[k], lam_b[k], delta_b[k], nu)
+    differ = (lam_a != lam_b) | (delta_a != delta_b)
+    d_max = np.maximum(np.maximum(delta_a, delta_b), DELTA_CAP)
+    d_max = np.where(d_max > DELTA_CAP, 2.0 ** np.ceil(np.log2(d_max)), DELTA_CAP)
+    for d in np.unique(d_max[differ]):
+        x, log_w = _hellinger_layout(nu, float(d))
+        group = np.flatnonzero(differ & (d_max == d))
+        for a in range(0, group.size, _HELLINGER_BLOCK):
+            k = group[a:a + _HELLINGER_BLOCK]
+            ha = _half_log_f(x, nu, lam_a[k], delta_a[k])
+            hb = _half_log_f(x, nu, lam_b[k], delta_b[k])
+            terms = np.exp(log_w + 2.0 * np.maximum(ha, hb)) * np.expm1(-np.abs(ha - hb)) ** 2
+            out[k] = np.clip(terms.sum(axis=1), 0.0, 2.0)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _hellinger_block(lam_a, delta_a, lam_b, delta_b, nu):
-    n = lam_a.size
-    nodes, weights = special._gauss_legendre(_HELLINGER_NODES)
+@functools.cache
+def _hellinger_layout(nu, d_max):
+    """Nodes x of the panels for pairs whose larger delta is at most d_max,
+    and log(weight * psi_nu(x)) at each.
 
-    # truncation points from density values alone: the integrand
-    # (sqrt fa - sqrt fb)^2 psi_nu is at most g = psi_nu (fa + fb), which is
-    # monotone on (-inf, 0] and on [max(delta_a, delta_b), inf), so there the
-    # panel between edges e_j and 2 e_j carries at most e_j g(e_j), and the
-    # mass past edge e_k at most the sum of those terms over j >= k
+    Since (sqrt f_a - sqrt f_b)^2 psi_nu <= 2 psi_nu + psi_{nu,delta_a} +
+    psi_{nu,delta_b} and the non-central t is stochastically increasing in
+    delta, the mass past edge e is at most 2 t_sf(e) + 2 P_{d_max}(T > e)
+    above 0 and 4 t_sf(e) below. Each side stops at the first edge where
+    that bound drops under 5e-10, or at 2^40.
+    """
     cand = _HELLINGER_GRID[1:]
-    nc = cand.size
-    xs = np.concatenate([cand, -cand])
-    logpsi = special.t_pdf_log(xs, nu)
+    sf = special.t_sf(cand, nu)
+    upper = 2.0 * sf + 2.0 * special.nct_tails(cand, nu, d_max)[1]
+    # both bounds fall as e grows, so the edges still above 5e-10 come first
+    k_hi, k_lo = (min(np.count_nonzero(mass >= 5e-10), cand.size - 1) for mass in (upper, 4.0 * sf))
+    edges = np.concatenate([-cand[k_lo::-1], _HELLINGER_GRID[:k_hi + 2]])
+    nodes, weights = special._gauss_legendre(_HELLINGER_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    return x, np.log((half * weights).ravel()) + special.t_pdf_log(x, nu)
 
-    def psi_f(lam, delta):
-        deltas, which = np.unique(delta, return_inverse=True)
-        logratio = special.nct_t_logratio(xs, nu, deltas[:, None])[which]
-        return np.exp(logpsi + _log_mixture(lam[:, None], logratio))
 
-    g = psi_f(lam_a, delta_a) + psi_f(lam_b, delta_b)
-    past = np.cumsum((cand * g.reshape(n, 2, nc))[:, :, ::-1], axis=2)[:, :, ::-1]
-    mass_hi = np.where(cand >= np.maximum(delta_a, delta_b)[:, None], past[:, 0], np.inf)
-    mass_lo = past[:, 1]
-
-    def last_panel(mass):
-        below = mass < 5e-10
-        return np.where(below.any(axis=1), np.argmax(below, axis=1), nc - 1)
-
-    k_lo = last_panel(mass_lo)
-    k_hi = last_panel(mass_hi)
-
-    # each voxel's panels in ascending x, voxel after voxel: panel q runs
-    # from edge q to edge q + 1, where edge q is sign(q) * grid[|q|] and q
-    # goes from -(k_lo + 1) to k_hi
-    counts = k_lo + k_hi + 2
-    owner = np.repeat(np.arange(n), counts)
-    first = np.cumsum(counts) - counts
-    q = np.arange(counts.sum()) - first[owner] - (k_lo[owner] + 1)
-
-    # the edges are global, so every voxel shares a panel's nodes: psi is
-    # taken once per panel in use and a ratio once per distinct (delta,
-    # panel) of a side, then gathered; the same values, bit for bit
-    panels, row_panel = np.unique(q, return_inverse=True)
-    lo, hi = (np.sign(e) * _HELLINGER_GRID[np.abs(e)] for e in (panels, panels + 1))
-    half = 0.5 * (hi - lo)
-    x = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    w = (half[:, None] * weights[None, :])[row_panel]
-    psi = np.exp(special.t_pdf_log(x, nu))[row_panel]
-
-    def sqrt_f(lam, delta):
-        deltas, which = np.unique(delta, return_inverse=True)
-        pairs, row_pair = np.unique(which[owner] * panels.size + row_panel, return_inverse=True)
-        logratio = special.nct_t_logratio(x[pairs % panels.size], nu,
-                                          deltas[pairs // panels.size, None])
-        return np.exp(0.5 * _log_mixture(lam[owner, None], logratio[row_pair]))
-
-    diff = sqrt_f(lam_a, delta_a) - sqrt_f(lam_b, delta_b)
-    total = np.add.reduceat((w * (diff * diff * psi)).ravel(), first * _HELLINGER_NODES)
-    return np.clip(total, 0.0, 2.0)
+def _half_log_f(x, nu, lam, delta):
+    """log(f) / 2 of each voxel's mixture at the nodes x, one row per voxel;
+    density ratios are taken once per distinct delta, then gathered."""
+    deltas, which = np.unique(delta, return_inverse=True)
+    return 0.5 * _log_mixture(lam[:, None], special.nct_t_logratio(x, nu, deltas[:, None])[which])
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,10 @@ class VolumeContainer:
             raise ContainerError(f"need at least one replication, got m={m}")
         if self.dofs.size != m:
             raise ContainerError(f"dofs length {self.dofs.size} does not match m={m}")
+        bad = ~(np.isfinite(self.dofs) & (self.dofs > 0.0))
+        if bad.any():
+            raise ContainerError(
+                f"degrees of freedom must be finite and positive, got {float(self.dofs[bad][0])!r}")
         if self.values.shape[1] != self.n_masked:
             raise ContainerError(
                 f"payload length {self.values.shape[1]} does not match "
@@ -408,6 +412,9 @@ def import_csv(path, dofs=None):
     if min(x.min(), y.min(), z.min()) < 0:
         raise SchemaError("voxel coordinates must be non-negative")
     nx, ny, nz = int(x.max()) + 1, int(y.max()) + 1, int(z.max()) + 1
+    if nx * ny * nz * m > np.iinfo(np.intp).max:
+        raise SchemaError(f"{path}: a {nx} x {ny} x {nz} grid with M = {m} has too many "
+                          "cells to index")
 
     if value_kind == "tstat" and dofs is None:
         dofs = _sidecar_dofs(f"{path}.dofs")

@@ -131,6 +131,53 @@ def integrate_unit_interval(f, epsabs=1e-12):
     )
 
 
+def nct_logpdf_quad(x, nu, delta):
+    """log density of the non-central t at x from its definition
+    T = (Z + delta) / S, S = sqrt(chi2_nu / nu): f(x) = E_S[S phi(x S - delta)].
+
+    With r = S sqrt(nu + x^2) and mu = delta x / sqrt(nu + x^2), the
+    integrand is r^nu exp(-(r - mu)^2 / 2) times closed-form factors; it is
+    integrated by quad on both sides of its peak r0 with the peak divided
+    out, so the log keeps its accuracy however far x is in a tail.
+    """
+    q = nu + x * x
+    mu = delta * x / math.sqrt(q)
+    r0 = 0.5 * (mu + math.sqrt(mu * mu + 4.0 * nu))
+    top = nu * math.log(r0) - 0.5 * (r0 - mu) ** 2
+
+    def scaled(r):
+        return math.exp(nu * math.log(r / r0) - 0.5 * ((r - mu) ** 2 - (r0 - mu) ** 2)) if r > 0 else 0.0
+
+    mass = sum(quad(scaled, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in ((max(0.0, r0 - 40.0), r0), (r0, r0 + 40.0)))
+    log_c = (math.log(2.0) + 0.5 * nu * math.log(0.5 * nu) - sc.gammaln(0.5 * nu)
+             - 0.5 * math.log(2.0 * math.pi))
+    return (log_c - 0.5 * (nu + 1.0) * math.log(q) + 0.5 * (mu * mu - delta * delta) + top
+            + math.log(mass))
+
+
+def hellinger_statistic_quad(a, b, nu):
+    """Squared Hellinger distance of the mixtures a = (lam, delta) and b,
+    lam in (0, 1), on the statistic scale: quad over x of
+    (sqrt g_a - sqrt g_b)^2, g = (1 - lam) f_{nu,0} + lam f_{nu,delta} the
+    density of x, split at fixed points. With h = log(g) / 2 the integrand is
+    exp(2 max(h_a, h_b)) expm1(-|h_a - h_b|)^2. Unlike integrate_unit_interval,
+    whose p grid starts at e^-130, it sees mass at any x, such as that of
+    delta = 50 at nu = 1000 near p = 1e-270."""
+    def half_log_g(x, lam, delta):
+        return 0.5 * np.logaddexp(math.log1p(-lam) + nct_logpdf_quad(x, nu, 0.0),
+                                  math.log(lam) + nct_logpdf_quad(x, nu, delta))
+
+    def integrand(x):
+        ha, hb = half_log_g(x, *a), half_log_g(x, *b)
+        top = max(ha, hb)
+        return 0.0 if top == -math.inf else math.exp(2.0 * top) * math.expm1(-abs(ha - hb)) ** 2
+
+    pts = [-math.inf, -64, -16, -8, -4, -2, 0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56, 64,
+           128, math.inf]
+    return sum(quad(integrand, lo, hi, epsabs=1e-14, limit=400)[0] for lo, hi in zip(pts[:-1], pts[1:]))
+
+
 def auc_quad(delta, nu, power_fn):
     """Adaptive AUC oracle; power_fn(tau) supplies the integrand (the oracle
     integration scheme stays independent of the production quadrature)."""

@@ -379,6 +379,21 @@ def test_zero_replications_rejected(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.vol"]
 
 
+@pytest.mark.parametrize("command, option, kind", [("fit", "--input", "pvalue"),
+                                             ("convert", "--tstats", "tstat")])
+@pytest.mark.parametrize("dof", ["0", "-3", "nan", "inf"])
+def test_bad_container_dof_names_the_input(tmp_path, capsys, command, option, kind, dof):
+    # a bad dof used to surface from the special functions, naming no file
+    header = (f"certmap-volume 1\nkind: {kind}\ndims: 2 1 1\nm: 1\ndofs: {dof}\n"
+              "mask: rle 0 2\nendian: little\npayload-bytes: 16\npayload:\n")
+    path = tmp_path / "in.vol"
+    path.write_bytes(header.encode() + np.array([0.25, 0.5], dtype="<f8").tobytes())
+    capsys.readouterr()
+    assert main([command, option, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}: degrees of freedom must be finite and positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vol"]
+
+
 def test_numerical_error_removes_partial_outputs(fixture_volumes, tmp_path, monkeypatch):
     reps, _ = fixture_volumes
     import certmap.cli as cli_mod

@@ -9,7 +9,7 @@ import pytest
 from certmap import simulate as sim
 from certmap.model import MixtureParams, mixture_cdf
 
-from oracles import integrate_unit_interval
+from oracles import hellinger_statistic_quad, integrate_unit_interval
 
 # frozen oracle value: independent adaptive quadrature on the p scale
 H2_053_055_122 = 0.302657133431151
@@ -119,6 +119,28 @@ def test_hellinger_bounds():
         b = MixtureParams(rng.uniform(0, 1), rng.uniform(0, 10))
         h = sim.hellinger_sq(a, b, 122.0)
         assert 0.0 <= h <= 2.0
+
+
+@pytest.mark.parametrize("pa, pb, nu, want", [
+    ((0.5, 50.0), (0.5, 2.0), 1000.0, 0.73748174108084),
+    ((0.5, 40.0), (0.3, 2.0), 1000.0, 0.65691416467718),
+    ((0.9, 30.0), (0.2, 3.0), 5000.0, 1.40502154593042),
+])
+def test_hellinger_large_delta_at_large_dof(pa, pb, nu, want):
+    # near x = delta the density ratio f overflows and psi_nu underflows at
+    # these dofs, so f psi_nu must not be formed as a product
+    got = sim.hellinger_sq(MixtureParams(*pa), MixtureParams(*pb), nu)
+    assert got == pytest.approx(want, abs=1e-10)
+    assert hellinger_statistic_quad(pa, pb, nu) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("nu", [1.0, 122.0, 1000.0, 5000.0])
+def test_hellinger_finite_up_to_the_delta_cap(nu):
+    lam, delta = (v.ravel() for v in np.meshgrid([0.0, 0.3, 1.0], [0.0, 1.0, 3.0, 10.0, 30.0, 50.0]))
+    a = MixtureParams(np.repeat(lam, lam.size), np.repeat(delta, lam.size))
+    b = MixtureParams(np.tile(lam, lam.size), np.tile(delta, lam.size))
+    h = sim.hellinger_sq(a, b, nu)
+    assert np.isfinite(h).all() and (h >= 0.0).all() and (h <= 2.0).all()
 
 
 def test_ground_truth_deterministic_and_stratified():

@@ -336,6 +336,16 @@ def test_import_csv_malformed_row_named(tmp_path, row, reason):
     assert f"{path}: {reason}" in str(err.value)
 
 
+def test_import_csv_grid_too_large_to_index(tmp_path):
+    # each coordinate passes the 2**31 check, but the grid's 2**93 cells do
+    # not fit a flat index
+    path = tmp_path / "huge.csv"
+    _write_csv(path, [(2147483647, 2147483647, 2147483647, 0, 0.5)])
+    with pytest.raises(vol.SchemaError) as err:
+        vol.import_csv(path, dofs=122.0)
+    assert f"{path}: a 2147483648 x 2147483648 x 2147483648 grid with M = 1" in str(err.value)
+
+
 def test_import_csv_reads_integral_floats(tmp_path):
     # coordinates and replication numbers written as floats name the same
     # voxel and replication as the integers
