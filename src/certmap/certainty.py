@@ -11,9 +11,10 @@ For a voxel declared active when its p-value falls at or below tau:
 
 The frontier's maximizer is the voxel's optimal threshold. Because the t
 family has a monotone likelihood ratio, an interior maximizer is the unique
-root of lam * ratio(tau) = 1 - lam, found by bisection on the statistic
-scale. The per-voxel ROC curve is summarized by its area, the average of
-power over all sizes.
+root of lam * ratio(tau) = 1 - lam, found by Newton's method in the
+non-centrality scale mu of the density ratio, where that equation is
+increasing and convex. The per-voxel ROC curve is summarized by its area,
+the average of power over all sizes.
 
 All three read one power evaluation at tau, whichever rule chose tau: the
 frontier optimum or an external cutoff such as the realized FDR cutoff.
@@ -116,7 +117,7 @@ def frontier(tau, params, nu):
 
 # log((1 - lam) / lam) through the C library's log1p and log, elementwise;
 # numpy's vectorized log can differ from it in the last bit, and tau* is the
-# root of logratio(x) = this target bisected to the last bit of x
+# root of logratio(x) = this target, to the rounding floor of the log-ratio
 _log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
@@ -124,9 +125,18 @@ def _optimal_threshold_impl(params, nu):
     """Returns (tau_star, degenerate_flag), one entry per voxel of params
     (1-D arrays).
 
-    All voxels bisect in lockstep on the statistic scale: logratio is
-    increasing in x and tau is decreasing in x, so the frontier's stationary
-    point is the unique root of logratio(x) = log((1 - lam) / lam).
+    logratio(x) is increasing in x and tau is decreasing in x, so the
+    frontier's stationary point is the unique root of
+    logratio(x) = log((1 - lam) / lam). Through mu = delta x / sqrt(nu + x^2)
+    that is the root of G(mu) = (mu^2 - delta^2) / 2 + log M(mu) - log M(0)
+    - log((1 - lam) / lam), with G' = E[s] > 0 and G'' = Var[s] > 0 under
+    the density proportional to s^nu exp(-(s - mu)^2 / 2) on s > 0. So G is
+    increasing and strictly convex, and Newton's method started where
+    G > 0 falls monotonically to the root, with no bracket. All voxels step
+    in lockstep, each step one table pass (LogMomentTable.with_slope). A
+    voxel stops after the step taken at a G within G's rounding floor, or
+    after a step under 2e-16 (|mu| + delta); either way it ends within G's
+    rounding floor of the root. Then x = mu sqrt(nu / (delta^2 - mu^2)).
     """
     lam = np.atleast_1d(params.lam).ravel()
     delta = np.atleast_1d(params.delta).ravel()
@@ -136,14 +146,9 @@ def _optimal_threshold_impl(params, nu):
     if inner.size:
         d = delta[inner]
         target = _log_odds(lam[inner]).astype(np.float64)
-
-        def g(x, sel=slice(None)):
-            return special.nct_t_logratio(x, nu, d[sel]) - target[sel]
-
         x_hi = float(special.t_upper_quantile(_TAU_EDGE, nu))
-        x_lo = -x_hi
-        g_hi = g(x_hi)
-        g_lo = g(x_lo)
+        g_hi = special.nct_t_logratio(x_hi, nu, d) - target
+        g_lo = special.nct_t_logratio(-x_hi, nu, d) - target
         flat = np.abs(g_hi - g_lo) < 1e-12
         # flat frontier (delta ~ 0): tie-break at tau = 0, flagged; in the
         # constant-ratio case the frontier slope -(1-lam) + lam*r keeps one
@@ -154,19 +159,20 @@ def _optimal_threshold_impl(params, nu):
         degenerate[inner[tie]] = True
         t_in = np.where((g_hi > 0.0) & ~tie & (flat | (g_lo >= 0.0)), 1.0, 0.0)
         search = np.flatnonzero(~flat & (g_hi > 0.0) & (g_lo < 0.0))
-        lo = np.full(search.size, x_lo)
-        hi = np.full(search.size, x_hi)
+        d, target = d[search], target[search]
+        tab = special.get_moment_table(nu)
+        mu = d * (x_hi / math.hypot(math.sqrt(nu), x_hi))
         live = np.arange(search.size)
-        for _ in range(200):
-            mid = 0.5 * (lo[live] + hi[live])
-            moving = (mid != lo[live]) & (mid != hi[live])
-            live, mid = live[moving], mid[moving]
-            if not live.size:
-                break
-            up = g(mid, search[live]) > 0.0
-            hi[live[up]] = mid[up]
-            lo[live[~up]] = mid[~up]
-        t_in[search] = special.t_sf(0.5 * (lo + hi), nu)
+        while live.size:
+            m, dl = mu[live], d[live]
+            log_m, slope = tab.with_slope(m)
+            g = 0.5 * (m * m - dl * dl) + log_m - tab.at_zero - target[live]
+            step = g / (m + slope)
+            mu[live] = m - step
+            # a few ulps of G's largest terms
+            floor = 4e-16 * (np.abs(log_m) + abs(tab.at_zero) + dl * dl)
+            live = live[(g > floor) & (step > 2e-16 * (np.abs(m) + dl))]
+        t_in[search] = special.t_sf(mu * math.sqrt(nu) / np.sqrt((d - mu) * (d + mu)), nu)
         tau[inner] = t_in
     return tau, degenerate
 

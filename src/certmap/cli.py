@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__, certainty, simulate, thresholding, volume
 from .fit import VolumeFit, fit_volume
+from .model import _check_delta, _check_lam
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -59,10 +60,15 @@ def _write_text(text, path):
     _written_paths.append(str(path))
 
 
+# the range check of each parameter kind's values
+_VALUE_CHECKS = {"lambda": _check_lam, "delta": _check_delta}
+
+
 def _read(path, kind, like=None):
     """The container at path, checked: its value kind is `kind` (None takes
     any), it holds one plane unless it is a pvalue or tstat replication set
-    read on its own, and it shares the grid of the container `like`."""
+    read on its own, it shares the grid of the container `like`, and a
+    lambda or delta map holds values in its parameter's range."""
     try:
         c = volume.read_container(path)
     except volume.ContainerError as exc:
@@ -73,6 +79,11 @@ def _read(path, kind, like=None):
         raise volume.ContainerError(f"{path}: expected one plane, got {c.m}")
     if like is not None and (c.dims != like.dims or not np.array_equal(c.mask, like.mask)):
         raise volume.ContainerError(f"{path}: dims or mask differ from the other inputs")
+    if kind in _VALUE_CHECKS:
+        try:
+            _VALUE_CHECKS[kind](c.values)
+        except ValueError as exc:
+            raise volume.ContainerError(f"{path}: {exc}") from None
     return c
 
 
@@ -299,64 +310,74 @@ def cmd_dump(args):
             {"slice": args.slice, "rep": args.rep, "kind": c.kind}, None)
 
 
-def _build_parser():
+# every subcommand: name -> (help, handler, [(option, add_argument keywords)])
+_COMMANDS = {
+    "fit": ("fit the p-value mixture per voxel", cmd_fit, [
+        ("--input", dict(required=True, help="p-value replication container")),
+        ("--out", dict(required=True, help="output path prefix")),
+        ("--threads", dict(type=int, default=1, help="recorded in the manifest; no effect")),
+    ]),
+    "certainty": ("thresholds, certainties and decisions", cmd_certainty, [
+        ("--fits", dict(required=True, help="lambda,delta container paths")),
+        ("--composite", dict(required=True, help="composite p-value container")),
+        ("--tau-source", dict(default="frontier", help="frontier or fdr:q")),
+        ("--dof", dict(type=float, default=None,
+                       help="dof for the certainty formulas (default: from fits)")),
+        ("--out", dict(required=True, help="output path prefix")),
+    ]),
+    "simulate": ("ground-truth recovery experiment", cmd_simulate, [
+        ("--scenario", dict(default="default", choices=sorted(simulate.SCENARIOS))),
+        ("--M-range", dict(default="2..12", help="e.g. 2..12 or 2,6,12")),
+        ("--N", dict(type=int, required=True, help="number of voxels")),
+        ("--seed", dict(type=int, required=True)),
+        ("--out", dict(required=True, help="report TSV path")),
+        ("--threads", dict(type=int, default=1, help="recorded in the manifest; no effect")),
+    ]),
+    "overlap": ("percent-overlap matrix of decision maps", cmd_overlap, [
+        ("--maps", dict(nargs="+", required=True)),
+        ("--out", dict(required=True)),
+    ]),
+    "convert": ("t-statistics to one-sided p-values", cmd_convert, [
+        ("--tstats", dict(required=True)),
+        ("--dof", dict(type=float, default=None)),
+        ("--out", dict(required=True)),
+    ]),
+    "split": ("random half-split of a replication set", cmd_split, [
+        ("--input", dict(required=True)),
+        ("--seed", dict(type=int, required=True)),
+        ("--out", dict(required=True, help="two output paths: a.vol,b.vol")),
+    ]),
+    "dump": ("per-slice delimited dump of a volume", cmd_dump, [
+        ("--input", dict(required=True)),
+        ("--slice", dict(type=int, required=True)),
+        ("--rep", dict(type=int, default=0)),
+        ("--out", dict(required=True)),
+    ]),
+}
+
+
+def _build_parser(name=None):
+    """The certmap parser: with only the subparser of `name` when it is a
+    subcommand, with all of them otherwise. Either way every message prints
+    as from the full parser: a run of one subcommand shows no other's help,
+    and the usage line names all of them through the metavar."""
     parser = _Parser(prog="certmap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"certmap {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("fit", help="fit the p-value mixture per voxel")
-    p.add_argument("--input", required=True, help="p-value replication container")
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--threads", type=int, default=1, help="recorded in the manifest; no effect")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("certainty", help="thresholds, certainties and decisions")
-    p.add_argument("--fits", required=True, help="lambda,delta container paths")
-    p.add_argument("--composite", required=True, help="composite p-value container")
-    p.add_argument("--tau-source", default="frontier", help="frontier or fdr:q")
-    p.add_argument("--dof", type=float, default=None,
-                   help="dof for the certainty formulas (default: from fits)")
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_certainty)
-
-    p = sub.add_parser("simulate", help="ground-truth recovery experiment")
-    p.add_argument("--scenario", default="default", choices=sorted(simulate.SCENARIOS))
-    p.add_argument("--M-range", default="2..12", help="e.g. 2..12 or 2,6,12")
-    p.add_argument("--N", type=int, required=True, help="number of voxels")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="report TSV path")
-    p.add_argument("--threads", type=int, default=1, help="recorded in the manifest; no effect")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("overlap", help="percent-overlap matrix of decision maps")
-    p.add_argument("--maps", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("convert", help="t-statistics to one-sided p-values")
-    p.add_argument("--tstats", required=True)
-    p.add_argument("--dof", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("split", help="random half-split of a replication set")
-    p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="two output paths: a.vol,b.vol")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("dump", help="per-slice delimited dump of a volume")
-    p.add_argument("--input", required=True)
-    p.add_argument("--slice", type=int, required=True)
-    p.add_argument("--rep", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dump)
+    one = name in _COMMANDS
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for cmd in [name] if one else _COMMANDS:
+        help_text, func, options = _COMMANDS[cmd]
+        p = sub.add_parser(cmd, help=help_text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     del _written_paths[:]
     t0 = time.time()
     try:

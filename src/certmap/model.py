@@ -40,6 +40,18 @@ CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
 
 
+def _check_lam(lam):
+    bad = ~(np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0))
+    if bad.any():
+        raise ValueError(f"lam must be in [0, 1], got {float(lam[bad].flat[0])!r}")
+
+
+def _check_delta(delta):
+    bad = ~(np.isfinite(delta) & (delta >= 0.0))
+    if bad.any():
+        raise ValueError(f"delta must be finite and >= 0, got {float(delta[bad].flat[0])!r}")
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Mixture weight lam in [0, 1] and non-centrality delta >= 0.
@@ -59,12 +71,8 @@ class MixtureParams:
         delta = np.asarray(self.delta, dtype=np.float64)
         if lam.shape != delta.shape:
             raise ValueError(f"lam and delta shapes differ: {lam.shape} vs {delta.shape}")
-        bad = ~(np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0))
-        if bad.any():
-            raise ValueError(f"lam must be in [0, 1], got {float(lam[bad].flat[0])!r}")
-        bad = ~(np.isfinite(delta) & (delta >= 0.0))
-        if bad.any():
-            raise ValueError(f"delta must be finite and >= 0, got {float(delta[bad].flat[0])!r}")
+        _check_lam(lam)
+        _check_delta(delta)
         scalar = lam.ndim == 0
         object.__setattr__(self, "lam", float(lam) if scalar else lam)
         object.__setattr__(self, "delta", float(delta) if scalar else delta)

@@ -12,11 +12,12 @@ The non-central machinery rests on one integral,
     M(nu, mu) = integral_0^inf s^nu * exp(-(s - mu)^2 / 2) ds,
 
 computed in log space by Gauss-Legendre quadrature after the substitution
-s = e^v (the integrand is then entire, with a single Laplace peak), on a
-32-node left-tail panel and a peak panel of 64 nodes from nu = 40 on, 160
-below (see log_moment), and cached per nu as a quintic Hermite table in mu
-on uniform knots over |mu| <= 50. The non-central t density at x factors
-through M with mu = delta * x / sqrt(nu + x^2), which keeps every tail sign
+s = e^v (the integrand is then entire, with a single Laplace peak), on one
+48-node peak panel from nu = 40 on and, below, a 160-node peak panel plus a
+32-node left-tail panel (see log_moment), and cached per nu as a quintic
+Hermite table in mu on uniform knots over |mu| <= 50, which also gives the
+slope d log M / dmu. The non-central t density at x factors through M with
+mu = delta * x / sqrt(nu + x^2), which keeps every tail sign
 combination cancellation-free; the density, the density ratio and the tail
 masses (nct_tails, and nct_cdf through it) all read M from that table.
 """
@@ -231,7 +232,7 @@ def _gauss_legendre(n):
 
 
 # values of mu per block of log_moment: a block holds up to 192 doubles per
-# value in each of its arrays, 96 from nu = 40 on
+# value in each of its arrays, 48 from nu = 40 on
 _MOMENT_BLOCK = 250
 
 
@@ -249,12 +250,14 @@ def log_moment(nu, mu):
     """log of integral_0^inf s^nu exp(-(s - mu)^2 / 2) ds, elementwise in mu.
 
     In v = log s the integrand exp((nu+1) v - (e^v - mu)^2 / 2) is entire and
-    unimodal. Two Gauss-Legendre panels cover it: one across the Laplace peak
-    and one down the exp((nu+1) v) left tail, which matters for small nu.
-    The tail panel takes 32 nodes, which agree with 160 to 1.4e-14 from
-    nu = 0.5 to 1000. The peak panel takes 64 from nu = 40 on, where they
-    reach log M's float64 rounding floor as 160 do; below it takes 160:
-    there 64 stray from 160 by 3.6e-13 at nu = 30, 2e-8 at 4, 2e-5 at 0.5.
+    unimodal, with its peak at v* and a width sigma there. Below nu = 40 two
+    Gauss-Legendre panels cover it: 160 nodes over v* +- 14 sigma, and 32
+    down the exp((nu+1) v) left tail beyond, where 32 agree with 160 to
+    1.4e-14. Fewer peak nodes fall short there: 64 stray from 160 by 3.6e-13
+    at nu = 30, 2e-8 at 4, 2e-5 at 0.5. From nu = 40 on the left tail holds
+    under e^-40 of the integral, and one panel of 48 nodes over
+    v* +- 10 sigma reaches log M's float64 rounding floor: it moves log M
+    from the two-panel rule by at most 4.5e-13 (at nu = 1000).
     Each value's sum runs on its own row, in blocks of _MOMENT_BLOCK values,
     so a value's result does not depend on what else shares the call.
     """
@@ -274,15 +277,19 @@ def _moment_terms(nu, mu):
     and d^2 log M / dmu^2 = Var[s] - 1; both use the weights of log M's sum.
     """
     np1 = nu + 1.0
-    # the left-tail panel's rule, then the peak panel's (see log_moment)
-    rules = [_gauss_legendre(n) for n in (32, 64 if nu >= 40.0 else 160)]
+    # below nu = 40 the left-tail panel's rule, then the peak panel's; from
+    # nu = 40 on the peak panel alone (see log_moment)
+    tail = nu < 40.0
+    reach = 14.0 if tail else 10.0
+    rules = [_gauss_legendre(n) for n in ((32, 160) if tail else (48,))]
     out = np.empty((3, mu.size))
     for a in range(0, mu.size, _MOMENT_BLOCK):
         m = mu[a:a + _MOMENT_BLOCK, None]
         s_star = _moment_peak(m, np1)[0]
         v_star = np.log(s_star)
         sig = 1.0 / np.sqrt(s_star * s_star + np1)
-        edges = (v_star - 14.0 * sig - 48.0 / np1, v_star - 14.0 * sig, v_star + 14.0 * sig)
+        lo, hi = v_star - reach * sig, v_star + reach * sig
+        edges = (lo - 48.0 / np1, lo, hi) if tail else (lo, hi)
         panels = [(lo, 0.5 * (hi - lo), x, w) for lo, hi, (x, w) in zip(edges, edges[1:], rules)]
         v = np.hstack([lo + half * (x + 1.0) for lo, half, x, _ in panels])
         lw = np.hstack([np.log(w * half) for _, half, _, w in panels])
@@ -312,7 +319,8 @@ class LogMomentTable:
     the quadrature (_moment_terms); a value is one index computation and a
     six-coefficient Horner step. Inside |mu| <= 50 the table is within 3e-12
     (absolute) of direct quadrature for nu from 1 to 1000, and exact at the
-    knots; outside, calls fall back to direct quadrature.
+    knots; outside, calls fall back to direct quadrature. with_slope adds
+    the quintic's derivative, d log M / dmu, from the same index.
     """
 
     def __init__(self, nu):
@@ -333,13 +341,18 @@ class LogMomentTable:
             -15.0 * df + 8.0 * g0 + 7.0 * g1 + 1.5 * s0 - s1,
             6.0 * df - 3.0 * (g0 + g1) - 0.5 * (s0 - s1),
         ])
+        # the quintic's derivative in mu: its coefficients of t^0 .. t^4
+        self._slope = self._coef[1:] * (np.arange(1.0, 6.0) * _TABLE_PER_UNIT)[:, None]
         self.at_zero = float(f[half])
 
-    def _interp(self, mu):
+    def _index(self, mu):
         k = np.minimum(((mu + _TABLE_MU_MAX) * _TABLE_PER_UNIT).astype(np.intp), self._knots.size - 2)
-        t = (mu - self._knots.take(k)) * _TABLE_PER_UNIT
-        out = self._coef[5].take(k)
-        for row in self._coef[4::-1]:
+        return k, (mu - self._knots.take(k)) * _TABLE_PER_UNIT
+
+    @staticmethod
+    def _horner(coef, k, t):
+        out = coef[-1].take(k)
+        for row in coef[-2::-1]:
             out *= t
             out += row.take(k)
         return out
@@ -348,12 +361,24 @@ class LogMomentTable:
         arr, scalar = _prep(mu)
         inside = np.abs(arr) <= _TABLE_MU_MAX
         if inside.all():
-            out = self._interp(arr)
+            out = self._horner(self._coef, *self._index(arr))
         else:
             out = np.empty_like(arr)
-            out[inside] = self._interp(arr[inside])
+            out[inside] = self._horner(self._coef, *self._index(arr[inside]))
             out[~inside] = log_moment(self.nu, arr[~inside])
         return _unwrap(out, scalar)
+
+    def with_slope(self, mu):
+        """(log M, d log M / dmu) at each mu of a flat array, as two rows;
+        log M is the value __call__ gives, and outside |mu| <= 50 both rows
+        come from direct quadrature (_moment_terms)."""
+        inside = np.abs(mu) <= _TABLE_MU_MAX
+        out = np.empty((2, mu.size))
+        k, t = self._index(mu[inside])
+        out[:, inside] = self._horner(self._coef, k, t), self._horner(self._slope, k, t)
+        if not inside.all():
+            out[:, ~inside] = _moment_terms(self.nu, mu[~inside])[:2]
+        return out
 
 
 _MOMENT_TABLES = {}

@@ -442,7 +442,11 @@ def import_csv(path, dofs=None):
         first = np.setdiff1d((voxels[:, None] * m + np.arange(m)).ravel(), cell)[0]
         vz, vy, vx = np.unravel_index(first // m, (nz, ny, nx))
         raise SchemaError(f"voxel ({vx}, {vy}, {vz}) is missing replication {first % m + base}")
-    mask = np.zeros((nz, ny, nx), dtype=bool)
+    try:
+        mask = np.zeros((nz, ny, nx), dtype=bool)
+    except MemoryError:
+        raise SchemaError(f"{path}: a {nx} x {ny} x {nz} grid is too large for its mask to "
+                          "fit in memory") from None
     mask.flat[voxels] = True
     values = np.ascontiguousarray(table[order, 4].reshape(voxels.size, m).T)
 

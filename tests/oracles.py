@@ -115,6 +115,29 @@ def log_moment_mpmath(nu, mu, dps=40):
         return float(mp.loggamma(n + 1) - m * m / 4 + mp.log(mp.pcfd(-n - 1, -m)))
 
 
+def optimal_threshold_bisect(lam, delta, nu):
+    """tau* by lockstep bisection on the statistic scale, 200 halvings of
+    [-x_hi, x_hi] (x_hi the size-1e-10 critical value), to the last bit of
+    x: the root of logratio(x) = log((1 - lam) / lam), tau* = t_sf(x). NaN
+    where the root does not lie inside the bracket. The density ratio is the
+    production one, special.nct_t_logratio; only the search is independent
+    of the code under test."""
+    from certmap import special as sp
+
+    lam = np.asarray(lam, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    target = np.array([math.log1p(-v) - math.log(v) for v in lam])
+    x_hi = sp.t_upper_quantile(1e-10, nu)
+    lo, hi = np.full(lam.size, -x_hi), np.full(lam.size, x_hi)
+    inside = ((sp.nct_t_logratio(hi, nu, delta) > target)
+              & (sp.nct_t_logratio(lo, nu, delta) < target))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = sp.nct_t_logratio(mid, nu, delta) > target
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return np.where(inside, sp.t_sf(0.5 * (lo + hi), nu), np.nan)
+
+
 def power_quad(tau, delta, nu):
     return 1.0 - nct_cdf_quad(t_quantile_bisect(1.0 - tau, nu), nu, delta)
 

@@ -15,7 +15,7 @@ from certmap.fit import fit_volume
 from certmap.model import MixtureParams, power
 from certmap.thresholding import threshold_with_frontier
 
-from oracles import auc_quad, nct_tails_mpmath
+from oracles import auc_quad, nct_tails_mpmath, optimal_threshold_bisect
 
 # frozen oracle values at (tau=0.05, lam=0.3, delta=3, nu=122)
 RHO_PLUS_REF = 0.886322042290514013
@@ -193,25 +193,33 @@ def test_certainty_volume_single_voxel_matches_scalars(tau):
     assert maps.auc[0] == ct.auc(prm.delta, 122.0)
 
 
-def test_one_power_evaluation_per_threshold(monkeypatch):
-    # rho_plus, rho_minus and the frontier value come from one power pair at
-    # tau, whichever rule chose it; the decisions need no power at all
-    _, _, fits = _maps_fixture(n=8)
+def _counter(monkeypatch, *targets):
+    """count(f, *args): the number of calls f(*args) makes to the (owner,
+    name) targets, all patched to share one tally."""
     calls = []
-    tails = md._power_tails
+    for owner, name in targets:
+        real = getattr(owner, name)
 
-    def counted(*args):
-        calls.append(args)
-        return tails(*args)
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
 
-    for module in (ct, md):  # md.power reaches the model's own binding
-        monkeypatch.setattr(module, "_power_tails", counted)
+        monkeypatch.setattr(owner, name, counted)
 
     def count(f, *args):
         calls.clear()
         f(*args)
         return len(calls)
 
+    return count
+
+
+def test_one_power_evaluation_per_threshold(monkeypatch):
+    # rho_plus, rho_minus and the frontier value come from one power pair at
+    # tau, whichever rule chose it; the decisions need no power at all
+    _, _, fits = _maps_fixture(n=8)
+    # md.power reaches the model's own binding
+    count = _counter(monkeypatch, (ct, "_power_tails"), (md, "_power_tails"))
     prm = MixtureParams(fits.lam, fits.delta)
     assert count(ct.certainty_volume, fits, 122.0, "frontier") == 1
     assert count(ct.certainty_volume, fits, 122.0, 0.03) == 1
@@ -398,3 +406,51 @@ def test_certainty_never_reaches_log_moment_fallback(monkeypatch, nu):
     for tau_source in ("frontier", 0.03, 1e-12):
         maps = ct.certainty_volume(_fits(lam, delta), nu, tau_source=tau_source)
         assert np.isfinite(maps.rho_plus).all() and np.isfinite(maps.auc).all()
+
+
+@pytest.mark.parametrize("nu", [4.0, 122.0])
+def test_tau_star_matches_bisection_oracle(nu):
+    # lam near 0 and 1; delta near 0, with lam near 1/2 so that tau* is
+    # interior; and delta past the table's |mu| <= 50, where log M and its
+    # slope come from direct quadrature (interior at nu = 4 only). tau* can
+    # be no closer than the log-ratio's rounding floor allows: an error e in
+    # the log-ratio moves log tau* by kappa e, kappa = (f_0(x) / tau) /
+    # (d logratio / dx), which grows as delta -> 0, so the bound is 1e-12
+    # plus kappa times that floor
+    rng = np.random.default_rng(61)
+    k = 300
+    tiny = 10.0 ** rng.uniform(-8.0, 0.0, k)
+    lam = np.concatenate([rng.uniform(0.0, 1.0, k), 10.0 ** rng.uniform(-12.0, -2.0, k),
+                          1.0 - 10.0 ** rng.uniform(-12.0, -2.0, k),
+                          0.5 + tiny * rng.uniform(-0.5, 0.5, k), rng.uniform(0.0, 1.0, k)])
+    delta = np.concatenate([rng.uniform(0.0, 12.0, k), rng.uniform(0.0, 50.0, 2 * k), tiny,
+                            rng.uniform(50.0, 200.0, k)])
+    tau, _ = ct._optimal_threshold_impl(MixtureParams(lam, delta), nu)
+    want = optimal_threshold_bisect(lam, delta, nu)
+    inside = np.isfinite(want)
+    assert inside.sum() > k
+    np.testing.assert_array_equal((tau > 0.0) & (tau < 1.0), inside)
+    want, got, d = want[inside], tau[inside], delta[inside]
+    x = sp.t_upper_quantile(want, nu)
+    mu = d * x / np.sqrt(nu + x * x)
+    slope = (mu + sp._moment_terms(nu, mu)[1]) * d * nu / (nu + x * x) ** 1.5
+    kappa = np.exp(sp.t_pdf_log(x, nu)) / want / slope
+    floor = 4e-16 * (abs(sp.get_moment_table(nu).at_zero) + d * d + 1.0)
+    assert np.all(np.abs(got - want) <= (1e-12 + kappa * floor) * want)
+
+
+def test_tau_star_table_passes_on_certainty_mix(monkeypatch):
+    # the benchmark's certainty mix: 40% at the delta cap with lam ~ 0, 20%
+    # at the delta floor, 40% interior. Newton's method makes one table pass
+    # (log M and its slope) per lockstep step, after the two at the bracket
+    # ends
+    rng = np.random.default_rng(1)
+    n = 256
+    kind = rng.permutation(np.repeat([0, 1, 2], [102, 51, 103]))
+    lam = np.where(kind == 0, 1e-12, rng.uniform(0.01, 0.99, n))
+    lam = np.where((kind == 1) & (rng.random(n) < 0.25), 1e-12, lam)
+    delta = np.select([kind == 0, kind == 1], [50.0, 1.0 + 1e-12], rng.uniform(1.05, 6.5, n))
+    sp.get_moment_table(122.0)
+    count = _counter(monkeypatch, (sp.LogMomentTable, "__call__"),
+                     (sp.LogMomentTable, "with_slope"))
+    assert count(ct._optimal_threshold_impl, MixtureParams(lam, delta), 122.0) <= 20

@@ -8,7 +8,7 @@ import pytest
 
 from certmap import simulate as sim
 from certmap import volume as vol
-from certmap.cli import main
+from certmap.cli import _COMMANDS, _build_parser, main
 
 
 @pytest.fixture
@@ -331,6 +331,24 @@ def test_malformed_option_names_itself(fixture_volumes, tmp_path, capsys, option
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("argv", [[c, "--help"] for c in _COMMANDS]
+                         + [[c, "--nosuch", "1"] for c in _COMMANDS]
+                         + [["nosuch"], ["--help"], []], ids=" ".join)
+def test_one_subcommand_parser_prints_as_the_full_parser(argv, capsys):
+    # main builds only the subparser argv names; its help, usage and errors
+    # are those of the parser with all seven subparsers
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    got = capsys.readouterr()
+    assert (lazy.value.code, got.out, got.err) == (full.value.code, want.out, want.err)
+    if argv[:1] == ["nosuch"]:
+        assert "invalid choice: 'nosuch'" in got.err
+        assert all(c in got.err for c in _COMMANDS)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["fit"])  # missing required flags
@@ -392,6 +410,32 @@ def test_bad_container_dof_names_the_input(tmp_path, capsys, command, option, ki
     assert main([command, option, str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"{path}: degrees of freedom must be finite and positive" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vol"]
+
+
+@pytest.mark.parametrize("tau_source", ["frontier", "fdr:0.05"])
+@pytest.mark.parametrize("kind, value, reason", [
+    ("delta", np.nan, "delta must be finite and >= 0, got nan"),
+    ("delta", -1.0, "delta must be finite and >= 0, got -1.0"),
+    ("lambda", 1.5, "lam must be in [0, 1], got 1.5"),
+], ids=["delta-nan", "delta-negative", "lambda-1.5"])
+def test_out_of_range_fits_name_the_input(fixture_volumes, tmp_path, capsys, tau_source,
+                                          kind, value, reason):
+    # these used to exit 2 with the reason alone, naming no file
+    reps, comp = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+    path = tmp_path / f"f.{kind}.vol"
+    c = vol.read_container(path)
+    values = c.values.copy()
+    values[0, 3] = value
+    vol.write_container(vol.VolumeContainer(kind=c.kind, dims=c.dims, mask=c.mask,
+                                            dofs=c.dofs, values=values), path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["certainty", "--fits", f"{tmp_path}/f.lambda.vol,{tmp_path}/f.delta.vol",
+                 "--composite", str(comp), "--tau-source", tau_source,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}: {reason}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_numerical_error_removes_partial_outputs(fixture_volumes, tmp_path, monkeypatch):

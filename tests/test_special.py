@@ -267,6 +267,21 @@ def test_log_moment_table_matches_direct(nu):
     assert tab(55.0) == sp.log_moment(nu, 55.0)
 
 
+@pytest.mark.parametrize("nu", [1.0, 4.0, 40.0, 122.0, 1000.0])
+def test_log_moment_table_slope_matches_direct(nu):
+    # the slope is the derivative of the table's quintic: at the knots it
+    # carries the quadrature's own d log M / dmu, between them the quintic's
+    # error; past |mu| = 50 both rows are direct quadrature
+    tab = sp.LogMomentTable(nu)
+    knots = np.arange(-500, 501) / 10.0
+    outside = np.array([-80.0, -50.5, 50.05, 63.0, 120.0])
+    for mus, atol in ((knots, 1e-12), (_MOMENT_MIDPOINTS, 5e-11)):
+        value, slope = tab.with_slope(mus)
+        np.testing.assert_array_equal(value, tab(mus))
+        np.testing.assert_allclose(slope, sp._moment_terms(nu, mus)[1], rtol=0.0, atol=atol)
+    np.testing.assert_array_equal(tab.with_slope(outside), sp._moment_terms(nu, outside)[:2])
+
+
 # 39 and 40 straddle the peak panel's change of rule (see special.log_moment)
 @pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 10.0, 39.0, 40.0, 122.0, 200.0])
 def test_log_moment_matches_mpmath(nu):

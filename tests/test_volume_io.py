@@ -346,6 +346,15 @@ def test_import_csv_grid_too_large_to_index(tmp_path):
     assert f"{path}: a 2147483648 x 2147483648 x 2147483648 grid with M = 1" in str(err.value)
 
 
+def test_import_csv_grid_too_large_to_allocate(tmp_path):
+    # 2**60 cells fit a flat index, but no host holds the 1 EiB mask
+    path = tmp_path / "vast.csv"
+    _write_csv(path, [(1048575, 1048575, 1048575, 0, 0.5)])
+    with pytest.raises(vol.SchemaError) as err:
+        vol.import_csv(path, dofs=122.0)
+    assert f"{path}: a 1048576 x 1048576 x 1048576 grid is too large" in str(err.value)
+
+
 def test_import_csv_reads_integral_floats(tmp_path):
     # coordinates and replication numbers written as floats name the same
     # voxel and replication as the integers
