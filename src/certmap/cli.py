@@ -14,8 +14,10 @@ Every run writes a JSON manifest adjacent to its primary output with the
 exact configuration and seed needed to reproduce it. Exit codes: 0 success,
 1 usage, 2 validation, 3 numerical failure. A run that exits 2 or 3 removes
 every file it wrote, and only those. Parameter, composite and decision
-inputs must hold exactly one plane, and the inputs of one certainty or
-overlap run one grid; any other input exits 2 with its path and the reason.
+inputs must hold exactly one plane, the inputs of one certainty or
+overlap run one grid, and every input's values the range of its kind
+(p-values in [0, 1], finite t statistics, decisions 0 or 1, lambda in
+[0, 1], delta >= 0); any other input exits 2 with its path and the reason.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__, certainty, simulate, thresholding, volume
 from .fit import VolumeFit, fit_volume
-from .model import _check_delta, _check_lam
+from .model import _check_delta, _check_lam, clamp_pvalues
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -60,15 +62,22 @@ def _write_text(text, path):
     _written_paths.append(str(path))
 
 
-# the range check of each parameter kind's values
-_VALUE_CHECKS = {"lambda": _check_lam, "delta": _check_delta}
+def _check_decisions(values):
+    bad = (values != 0.0) & (values != 1.0)
+    if bad.any():
+        raise ValueError(f"decisions must be 0 or 1, got {float(values[bad].flat[0])!r}")
+
+
+# the range check of each value kind read as an input
+_VALUE_CHECKS = {"lambda": _check_lam, "delta": _check_delta, "pvalue": clamp_pvalues,
+                 "tstat": volume._check_tstats, "decision": _check_decisions}
 
 
 def _read(path, kind, like=None):
     """The container at path, checked: its value kind is `kind` (None takes
     any), it holds one plane unless it is a pvalue or tstat replication set
-    read on its own, it shares the grid of the container `like`, and a
-    lambda or delta map holds values in its parameter's range."""
+    read on its own, it shares the grid of the container `like`, and its
+    values lie in their kind's range (_VALUE_CHECKS)."""
     try:
         c = volume.read_container(path)
     except volume.ContainerError as exc:

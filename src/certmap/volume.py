@@ -305,14 +305,19 @@ class ReplicationSet:
         )
 
 
+def _check_tstats(tstats):
+    bad = ~np.isfinite(tstats)
+    if bad.any():
+        raise ValueError(f"t statistics must be finite, got {float(tstats[bad].flat[0])!r}")
+
+
 def t_to_p(tstats, dof):
     """One-sided upper-tail p-values of t statistics: p = P(t_nu >= T).
 
     Strictly decreasing in T. Non-finite statistics raise.
     """
     arr = np.asarray(tstats, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("t statistics must be finite")
+    _check_tstats(arr)
     return special.t_sf(arr, dof)
 
 

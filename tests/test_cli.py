@@ -438,6 +438,47 @@ def test_out_of_range_fits_name_the_input(fixture_volumes, tmp_path, capsys, tau
     assert sorted(tmp_path.iterdir()) == before
 
 
+_P_REASON = "p-values must be finite and lie in [0, 1]"
+
+
+@pytest.mark.parametrize("command, kind, value, reason", [
+    *[(f"certainty {tau_source}", "pvalue", value, _P_REASON)
+      for tau_source in ("frontier", "fdr:0.05") for value in (np.nan, 5.0, -1.0)],
+    *[("overlap", "decision", value, f"decisions must be 0 or 1, got {value!r}")
+      for value in (np.nan, 0.7, 2.0, -1.0)],
+    ("fit", "pvalue", np.nan, _P_REASON),
+    ("convert", "tstat", np.inf, "t statistics must be finite, got inf"),
+], ids=[*(f"composite-{t}-{v}" for t in ("frontier", "fdr") for v in ("nan", "5", "-1")),
+        *(f"decision-{v}" for v in ("nan", "0.7", "2", "-1")), "pvalue-nan", "tstat-inf"])
+def test_out_of_range_values_name_the_input(fixture_volumes, tmp_path, capsys, command, kind,
+                                            value, reason):
+    # a composite or decision map out of range used to exit 0, and a
+    # replication set or t statistic out of range to exit 2 naming no file
+    reps, comp = fixture_volumes
+    main(["fit", "--input", str(reps), "--out", str(tmp_path / "f")])
+    converged = tmp_path / "f.converged.vol"
+    source = comp if command.startswith("certainty") else converged if kind == "decision" else reps
+    c = vol.read_container(source)
+    values = c.values.copy()
+    values[0, 3] = value
+    path = tmp_path / "bad.vol"
+    vol.write_container(vol.VolumeContainer(kind=kind, dims=c.dims, mask=c.mask,
+                                            dofs=c.dofs, values=values), path)
+    name, _, tau_source = command.partition(" ")
+    argv = {
+        "certainty": ["--fits", f"{tmp_path}/f.lambda.vol,{tmp_path}/f.delta.vol",
+                      "--composite", str(path), "--tau-source", tau_source],
+        "overlap": ["--maps", str(converged), str(path)],
+        "fit": ["--input", str(path)],
+        "convert": ["--tstats", str(path)],
+    }[name]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([name, *argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}: {reason}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_numerical_error_removes_partial_outputs(fixture_volumes, tmp_path, monkeypatch):
     reps, _ = fixture_volumes
     import certmap.cli as cli_mod

@@ -310,9 +310,7 @@ def test_nct_pdf_log_normalizes_to_table_accuracy(nu, delta):
     assert abs(total - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [32, 48, 64, 100, 160])
-def test_gauss_legendre_rule(n):
-    x, w = sp._gauss_legendre(n)
+def _check_gauss_legendre_rule(n, x, w):
     # exact on every even power the rule can integrate
     for k in range(n):
         assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-15
@@ -321,6 +319,35 @@ def test_gauss_legendre_rule(n):
     ref_x, ref_w = np.polynomial.legendre.leggauss(n)
     assert np.abs(x - ref_x).max() <= 2e-16
     assert np.abs(w - ref_w).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 100, 160, 200])
+def test_gauss_legendre_rule(n):
+    _check_gauss_legendre_rule(n, *sp._gauss_legendre(n))
+
+
+def test_gauss_legendre_rule_needs_no_eigensolver(monkeypatch):
+    # the rules come from the Legendre recurrence alone, so building one
+    # makes no LAPACK call (and starts no BLAS thread pool)
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    sp._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    rules = {n: sp._gauss_legendre(n) for n in (32, 48, 100, 160)}
+    # the reference rule (leggauss) is built by eigvalsh
+    monkeypatch.undo()
+    for n, (x, w) in rules.items():
+        _check_gauss_legendre_rule(n, x, w)
+
+
+def test_moment_table_is_one_per_dof():
+    tab = sp.get_moment_table(122)
+    assert sp.get_moment_table(122.0) is tab
+    assert sp.get_moment_table(np.float64(122.0)) is tab
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sp.get_moment_table(bad)
 
 
 def test_dof_validation():
