@@ -131,8 +131,9 @@ def cmd_fit(args):
         ("delta", fits.delta, "delta"),
         ("decision", fits.converged.astype(np.float64), "converged"),
     ))
+    n_null = int(np.count_nonzero(fits.null_proved))
     print(f"fit: {fits.n_masked} voxels, "
-          f"{int(np.count_nonzero(~fits.converged))} not converged")
+          f"{int(np.count_nonzero(~fits.converged))} not converged, {n_null} proved null")
     return (
         f"{args.out}.manifest.json",
         {"input": args.input},
@@ -142,6 +143,7 @@ def cmd_fit(args):
             "dof_reference": dof_ref,
             "n_not_converged": int(np.count_nonzero(~fits.converged)),
             "n_clamped_pvalues": int(fits.clamp_counts.sum()),
+            "n_null_proved": n_null,
         },
         None,
     )
@@ -272,7 +274,11 @@ def cmd_overlap(args):
 def cmd_convert(args):
     c = _read(args.tstats, "tstat")
     dofs = np.full(c.m, args.dof) if args.dof is not None else c.dofs
-    pvals = np.vstack([volume.t_to_p(v, dof) for v, dof in zip(c.values, dofs)])
+    # one call per distinct dof; t_to_p is elementwise, so grouping moves no bit
+    pvals = np.empty_like(c.values)
+    for nu in np.unique(dofs):
+        planes = dofs == nu
+        pvals[planes] = volume.t_to_p(c.values[planes], nu)
     out_c = volume.VolumeContainer(
         kind="pvalue", dims=c.dims, mask=c.mask, dofs=dofs, values=pvals
     )

@@ -15,13 +15,27 @@ in v that includes both ends, then 14 profile evaluations of Brent's search
 the best only if strictly better: the result is never worse than the best
 grid point, and ties keep it.
 
-The grid runs in blocks of _GRID_BLOCK voxels: one array pass evaluates
-all 97 grid points of a block, each lam solve starting from 0.5. Each
-Brent step runs on all masked voxels at once, its lam solve warm started
-from the best lam_hat found so far. Arrays hold one row per (voxel,
-delta) pair, and the lam solve steps only the rows still moving. The
-profile value costs one log per element (see _lam_hat); the reported
-log-likelihood is the model's log mixture at the final (lam, delta).
+The grid is a branch and bound over its 97 points that returns what
+evaluating all of them returns, bit for bit. Each log R_j is strictly
+concave in delta: d^2/ddelta^2 log R_j = a_j^2 Var[s] - 1 < 0, since
+Var[s] <= 1 by Brascamp & Lieb (1976). So per block of _GRID_BLOCK voxels
+the grid evaluates every _KNOT_STEP-th point exactly, takes each log R_j's
+slope there from the log-moment table, and bounds each log R_j over each
+knot interval by its two end tangents (Piyavskii's interval bound, with
+concavity in place of a Lipschitz constant). As 1 - lam + lam R grows with
+R, one lam solve on the bounds bounds the profile over the whole interval.
+Each interior grid point is then one of three kinds: dead, when the bounds
+keep sum_j R_j under M, so that lam_hat sits at its lower clip with value 0,
+which is what the solve returns there; pruned, when the interval's bound
+is below the best knot value, so that the point can neither win nor tie;
+or evaluated, in one array pass per block. A voxel whose intervals are all
+dead is null on the whole delta range, so no Brent point can beat grid
+point 0; it skips the refinement. Each Brent step runs on all other voxels
+at once, its lam solve warm started from the best lam_hat found so far.
+Arrays hold one row per (voxel, delta) pair, and the lam solve steps only
+the rows still moving. The profile value costs one log per element (see
+_lam_hat); the reported log-likelihood is the model's log mixture at the
+final (lam, delta).
 
 Each voxel's p-values are sorted within their dof group before any sum, so
 a fit is invariant to the order of the replications, and no row's
@@ -54,8 +68,19 @@ _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
 _BRENT_STEPS, _BRENT_TOL = 14, 1e-9  # refinement: profile evaluations, least step in v
-# voxels per grid pass: a block holds 97 rows per voxel in each array
-_GRID_BLOCK = 32
+# voxels per grid pass: a block holds up to 97 rows per voxel in each array
+_GRID_BLOCK = 64
+# grid points per knot interval of the branch and bound; the knots are grid
+# points 0, K, 2K, ..., 96
+_KNOT_STEP = 12
+_KNOTS = np.arange(0, _V_GRID.size, _KNOT_STEP)
+_INTERIOR = np.flatnonzero(np.arange(_V_GRID.size) % _KNOT_STEP)
+# slack added to each tangent bound of log R_j: it covers the table's
+# departure from concavity (log M within 3e-12, its slope within 8.5e-12,
+# over knot intervals up to about 32 wide in delta) and rounding. A dead
+# interval keeps sum_j R_j within M (1 - slack) after it, and pruning
+# leaves a relative margin of slack on the best knot value
+_BOUND_SLACK = 1e-8
 _NEWTON_STEPS = 60
 # rounding floor of a slope sum, per unit of sum_j |t_j|
 _SLOPE_FLOOR = 8.0 * np.finfo(np.float64).eps
@@ -82,6 +107,9 @@ class VolumeFit:
     loglik: np.ndarray
     converged: np.ndarray
     clamp_counts: np.ndarray
+    # voxels whose grid bounds prove the profile null on the whole delta
+    # range; None for fits read back from maps
+    null_proved: np.ndarray | None = None
 
     @property
     def n_masked(self):
@@ -191,37 +219,98 @@ def _profile(groups, v, lam0):
     return f, lam
 
 
+def _log_ratio_slopes(groups, delta):
+    """d log R_j / d delta for every (row, replication), delta one per row:
+    a_j (mu + (log M)'(mu)) - delta at mu = delta a_j, with (log M)' the
+    slope of the table that _log_ratios reads."""
+    d = delta[:, None]
+    parts = []
+    for a, nu in groups:
+        mu = d * a
+        slope = special.get_moment_table(nu).with_slope(mu.ravel())[1].reshape(mu.shape)
+        parts.append(a * (mu + slope) - d)
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+
+def _interval_bounds(y, g, delta):
+    """(bound, dead) over each interval between consecutive knots, from
+    every concave log R_j's values y and slopes g at the knots delta,
+    stacked knot-major along axis 0.
+
+    bound is _BOUND_SLACK plus the bound from the end tangents: the start
+    value if the start slope is <= 0, the end value if the end slope is
+    >= 0, else the height where the tangents cross. Any t in the interval
+    puts the larger tangent at delta_s + t at or above that height, so the
+    crossing's rounding cannot undercut it, and the clip keeps the division
+    finite. dead marks the intervals whose bounds keep sum_j R_j at most
+    M (1 - _BOUND_SLACK), where lam_hat sits at its lower clip."""
+    ys, ye, gs, ge = y[:-1], y[1:], g[:-1], g[1:]
+    w = np.diff(delta).reshape((-1,) + (1,) * (y.ndim - 1))
+    den = gs - ge
+    t = np.divide(np.minimum(np.maximum(ye - ys - ge * w, 0.0), den * w), den,
+                  out=np.zeros(den.shape), where=den > 0.0)
+    cross = np.maximum(ys + gs * t, ye + ge * (t - w))
+    bound = _BOUND_SLACK + np.where(gs <= 0.0, ys, np.where(ge >= 0.0, ye, cross))
+    # an R above M already keeps an interval live; the cap keeps exp finite
+    m = y.shape[-1]
+    return bound, np.exp(np.minimum(bound, math.log(m))).sum(axis=-1) <= m * (1.0 - _BOUND_SLACK)
+
+
 def _grid(groups, n):
     """Best grid point of every voxel: (index into _V_GRID, profile value,
-    lam_hat). A block of _GRID_BLOCK voxels takes all grid points in one
-    _profile call, on rows tiled grid-major, each lam search from 0.5;
-    np.argmax keeps a voxel's first maximum, so ties go to the lower delta."""
+    lam_hat, null), bit for bit what one _profile call on all 97 points
+    finds, ties to the lower delta; null marks the voxels whose knot
+    intervals are all dead (_interval_bounds). Knot rows, tiled knot-major,
+    and evaluated rows start their lam search from 0.5, as that call does,
+    and evaluated rows take C-contiguous copies of their quantile rows, so
+    their sums keep their order. An interval is pruned when the lam solve
+    on its bounds stays under f* - _BOUND_SLACK (1 + |f*|), f* the best
+    knot value."""
+    m = sum(a.shape[1] for a, _ in groups)
     best_k = np.empty(n, dtype=np.intp)
     best_f, best_lam = np.empty(n), np.empty(n)
-    g = _V_GRID.size
+    null = np.empty(n, dtype=bool)
+    nk = _KNOTS.size
+    knot_v = _V_GRID[_KNOTS]
+    interval = _INTERIOR // _KNOT_STEP
     for s in range(0, n, _GRID_BLOCK):
         b = min(_GRID_BLOCK, n - s)
-        block = [(np.tile(a[s:s + b], (g, 1)), nu) for a, nu in groups]
-        f, lam = _profile(block, np.repeat(_V_GRID, b), np.full(g * b, 0.5))
-        f, lam = f.reshape(g, b), lam.reshape(g, b)
+        block = [(a[s:s + b], nu) for a, nu in groups]
+        knots = [(np.tile(a, (nk, 1)), nu) for a, nu in block]
+        delta = 1.0 + np.exp(np.repeat(knot_v, b))
+        logr = _log_ratios(knots, delta)
+        bound, dead = _interval_bounds(logr.reshape(nk, b, m),
+                                       _log_ratio_slopes(knots, delta).reshape(nk, b, m),
+                                       delta[::b])
+        live = ~dead
+        # the knots' and the live intervals' lam solves share one call
+        lam_k, f_k = _lam_hat(np.vstack([logr, bound[live]]),
+                              np.full(nk * b + np.count_nonzero(live), 0.5))
+        upper = f_k[nk * b:]
+        f_k, lam_k = f_k[:nk * b].reshape(nk, b), lam_k[:nk * b].reshape(nk, b)
+        f_best = f_k.max(axis=0)
+        live[live] = upper >= (f_best - _BOUND_SLACK * (1.0 + np.abs(f_best)))[np.nonzero(live)[1]]
+        # grid-major rows: the knots, then dead 0, pruned -inf, live evaluated
+        f, lam = np.empty((_V_GRID.size, b)), np.full((_V_GRID.size, b), _LAM_EPS)
+        f[_KNOTS], lam[_KNOTS] = f_k, lam_k
+        f[_INTERIOR] = np.where(dead[interval], 0.0, -np.inf)
+        rows, cols = np.nonzero(live[interval])
+        f[_INTERIOR[rows], cols], lam[_INTERIOR[rows], cols] = _profile(
+            [(a[cols], nu) for a, nu in block], _V_GRID[_INTERIOR[rows]], np.full(rows.size, 0.5))
         k = np.argmax(f, axis=0)
         cols = np.arange(b)
         best_k[s:s + b], best_f[s:s + b], best_lam[s:s + b] = k, f[k, cols], lam[k, cols]
-    return best_k, best_f, best_lam
+        null[s:s + b] = dead.all(axis=0)
+    return best_k, best_f, best_lam, null
 
 
-def _fit(pvalues, dofs):
-    """Profile-likelihood fit of an (M, N) p-value block.
-
-    Returns (lam, delta, loglik) arrays over the N voxels.
-    """
-    groups = _quantile_groups(pvalues, dofs)
-    best_k, best_f, best_lam = _grid(groups, pvalues.shape[1])
-
-    # Brent's search over the cells on each side of the best grid point: pts
-    # holds x, the best point, then w and v, the next best; d and e are the
-    # last two steps. A step goes to the vertex of the parabola through x, w
-    # and v if inside [a, b] and under e / 2, else golden into the larger part.
+def _brent(groups, best_k, best_f, best_lam):
+    """Brent's search over the cells on each side of each voxel's best grid
+    point; returns the final (v, lam_hat)."""
+    # pts holds x, the best point, then w and v, the next best; d and e are
+    # the last two steps. A step goes to the vertex of the parabola through
+    # x, w and v if inside [a, b] and under e / 2, else golden into the
+    # larger part.
     a = _V_GRID[np.maximum(best_k - 1, 0)]
     b = _V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)]
     pts, fs, row = np.tile(_V_GRID[best_k], (3, 1)), np.tile(best_f, (3, 1)), np.arange(3)[:, None]
@@ -249,9 +338,24 @@ def _fit(pvalues, dofs):
         pts = np.where(row < rank, pts, np.where(row == rank, u, np.roll(pts, 1, axis=0)))
         fs = np.where(row < rank, fs, np.where(row == rank, fu, np.roll(fs, 1, axis=0)))
         best_lam = np.where(rank == 0, lam_u, best_lam)
+    return pts[0], best_lam
 
-    delta = 1.0 + np.exp(pts[0])
-    return best_lam, delta, _log_mixture(best_lam[:, None], _log_ratios(groups, delta)).sum(axis=1)
+
+def _fit(pvalues, dofs):
+    """Profile-likelihood fit of an (M, N) p-value block.
+
+    Returns (lam, delta, loglik, null) arrays over the N voxels, null
+    marking the voxels the grid proved null (see _grid), which keep grid
+    point 0, the delta floor, with lam_hat at its lower clip.
+    """
+    groups = _quantile_groups(pvalues, dofs)
+    best_k, best_f, lam, null = _grid(groups, pvalues.shape[1])
+    v = _V_GRID[best_k]
+    live = np.flatnonzero(~null)
+    v[live], lam[live] = _brent([(a[live], nu) for a, nu in groups],
+                                best_k[live], best_f[live], lam[live])
+    delta = 1.0 + np.exp(v)
+    return lam, delta, _log_mixture(lam[:, None], _log_ratios(groups, delta)).sum(axis=1), null
 
 
 def fit_voxel(pvals):
@@ -260,7 +364,7 @@ def fit_voxel(pvals):
     log-likelihood."""
     if not isinstance(pvals, PValueVector):
         raise TypeError("pvals must be a PValueVector")
-    lam, delta, loglik = _fit(pvals.values[:, None], pvals.dofs)
+    lam, delta, loglik, _ = _fit(pvals.values[:, None], pvals.dofs)
     return VoxelFit(
         lam_hat=float(lam[0]),
         delta_hat=float(delta[0]),
@@ -276,7 +380,7 @@ def fit_volume(data):
     if data.n_masked == 0:
         raise ValueError("mask is empty")
     pvalues, _ = clamp_pvalues(data.pvalues)
-    lam, delta, loglik = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
+    lam, delta, loglik, null = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
     return VolumeFit(
         dims=data.dims,
         mask=data.mask.copy(),
@@ -285,4 +389,5 @@ def fit_volume(data):
         loglik=loglik,
         converged=np.isfinite(loglik),
         clamp_counts=data.clamp_counts.copy(),
+        null_proved=null,
     )

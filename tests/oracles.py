@@ -3,7 +3,10 @@
 Everything here deliberately avoids the production code paths: CDFs come
 from adaptive quadrature of textbook density formulas, the non-central CDF
 from its normal/chi-square convolution, AUC and Hellinger from adaptive
-quadrature on transformed scales. Slow but trustworthy.
+quadrature on transformed scales. Slow but trustworthy. The one exception
+is grid_argmax_exhaustive, the fit's grid evaluated at every point through
+the fit's own row arithmetic, against which the pruned grid must agree bit
+for bit.
 """
 
 import math
@@ -12,6 +15,8 @@ import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from certmap import fit as ft
 
 
 def t_pdf_formula(x, nu):
@@ -245,3 +250,23 @@ def bh_reject_bruteforce(pvals, q):
     if k_best == 0:
         return np.zeros(n, dtype=bool)
     return pvals <= order[k_best - 1]
+
+
+def grid_argmax_exhaustive(groups, n):
+    """Best grid point of every voxel with no pruning: (index into the
+    fit's 97-point v grid, profile value, lam_hat). A block of the fit's
+    grid-block size takes all grid points in one _profile call, on rows
+    tiled grid-major, each lam search from 0.5; np.argmax keeps a voxel's
+    first maximum, so ties go to the lower delta."""
+    best_k = np.empty(n, dtype=np.intp)
+    best_f, best_lam = np.empty(n), np.empty(n)
+    g = ft._V_GRID.size
+    for s in range(0, n, ft._GRID_BLOCK):
+        b = min(ft._GRID_BLOCK, n - s)
+        block = [(np.tile(a[s:s + b], (g, 1)), nu) for a, nu in groups]
+        f, lam = ft._profile(block, np.repeat(ft._V_GRID, b), np.full(g * b, 0.5))
+        f, lam = f.reshape(g, b), lam.reshape(g, b)
+        k = np.argmax(f, axis=0)
+        cols = np.arange(b)
+        best_k[s:s + b], best_f[s:s + b], best_lam[s:s + b] = k, f[k, cols], lam[k, cols]
+    return best_k, best_f, best_lam

@@ -35,10 +35,16 @@ def fixture_volumes(tmp_path):
     return reps_path, comp_path
 
 
-def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path):
+def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path, capsys):
     reps, _ = fixture_volumes
     out = tmp_path / "fits"
     assert main(["fit", "--input", str(reps), "--out", str(out)]) == 0
+    from certmap.fit import fit_volume
+
+    n_null = int(fit_volume(vol.ReplicationSet.from_container(vol.read_container(reps)))
+                 .null_proved.sum())
+    assert 0 < n_null < 16
+    assert f"{n_null} proved null" in capsys.readouterr().out
     lam = vol.read_container(f"{out}.lambda.vol")
     delta = vol.read_container(f"{out}.delta.vol")
     assert lam.kind == "lambda" and delta.kind == "delta"
@@ -51,6 +57,7 @@ def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path):
     assert config["dof_reference"] == 122.0
     assert config["n_not_converged"] == 0
     assert config["threads"] == 1
+    assert config["n_null_proved"] == n_null
     assert set(manifest["outputs"]) == {"lambda", "delta", "converged"}
     converged = vol.read_container(f"{out}.converged.vol")
     assert converged.kind == "decision"
@@ -251,6 +258,41 @@ def test_convert_zero_tstats(tmp_path):
     p = vol.read_container(tmp_path / "p.vol")
     assert p.kind == "pvalue"
     assert np.all(p.values == 0.5)
+
+
+def _write_tstats(path, values, dofs):
+    n = values.shape[1]
+    vol.write_container(vol.VolumeContainer(kind="tstat", dims=(n, 1, 1),
+                                            mask=np.ones((1, 1, n), dtype=bool),
+                                            dofs=dofs, values=values), path)
+
+
+@pytest.mark.parametrize("dof", [None, 10.0])
+def test_convert_groups_planes_by_dof_bit_for_bit(tmp_path, dof):
+    # per-plane dofs, as a CSV's sidecar gives them, or one --dof for all:
+    # one t_to_p call per distinct dof gives what one call per plane gives
+    dofs = np.array([10.0, 122.0, 4.0, 10.0, 122.0, 10.0])
+    t = np.random.default_rng(71).normal(0.0, 3.0, (6, 40))
+    _write_tstats(tmp_path / "t.vol", t, dofs)
+    argv = ["convert", "--tstats", str(tmp_path / "t.vol"), "--out", str(tmp_path / "p.vol")]
+    assert main(argv + ([] if dof is None else ["--dof", str(dof)])) == 0
+    used = dofs if dof is None else np.full(6, dof)
+    p = vol.read_container(tmp_path / "p.vol")
+    np.testing.assert_array_equal(p.dofs, used)
+    np.testing.assert_array_equal(p.values, np.vstack([vol.t_to_p(row, nu)
+                                                       for row, nu in zip(t, used)]))
+
+
+def test_convert_names_first_bad_tstat_in_plane_order(tmp_path, capsys):
+    # the dof groups run in dof order, 10 before 122; the error still names
+    # plane 1's value, the first in plane order
+    t = np.zeros((3, 4))
+    t[1, 2], t[2, 0] = np.nan, -np.inf
+    _write_tstats(tmp_path / "t.vol", t, np.array([10.0, 122.0, 10.0]))
+    assert main(["convert", "--tstats", str(tmp_path / "t.vol"),
+                 "--out", str(tmp_path / "p.vol")]) == 2
+    assert "t statistics must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "p.vol").exists()
 
 
 def test_split_reproducible_and_complementary(fixture_volumes, tmp_path):

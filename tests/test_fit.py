@@ -11,7 +11,7 @@ from certmap import simulate as sim
 from certmap import special as sp
 from certmap.volume import ReplicationSet
 
-from oracles import profile_max_bounded
+from oracles import grid_argmax_exhaustive, profile_max_bounded
 
 
 def _draw_voxel(lam, delta, nu, m, rng):
@@ -336,18 +336,139 @@ def test_fit_refinement_matches_bounded_search_oracle():
             assert fits.loglik[i] >= profile_max_bounded(loglik, at_fit.delta) - 1e-9
 
 
+def _replication_set(pvalues, dofs):
+    n = pvalues.shape[1]
+    return ReplicationSet(dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool),
+                          dofs=dofs, pvalues=pvalues)
+
+
 def test_fit_volume_profile_evaluations(monkeypatch):
-    # one _profile call per grid block, then a fixed _BRENT_STEPS for the
-    # refinement of every voxel at once
-    calls = []
-    profile = ft._profile
+    # every a_j <= 0 for p-values in [0.5, 1), so every R_j < 1 at any
+    # delta: the bounds prove the voxel null, no grid row past the knots
+    # and no Brent step reaches _profile, and the fit is the delta floor
+    # with lam_hat at its clip
+    rows = []
+    profile, lam_hat = ft._profile, ft._lam_hat
 
-    def counted(*args):
-        calls.append(None)
-        return profile(*args)
+    def profile_rows(groups, v, lam0):
+        rows.append(v.size)
+        return profile(groups, v, lam0)
 
-    monkeypatch.setattr(ft, "_profile", counted)
-    for n in (1, 32, 70):
-        calls.clear()
-        ft.fit_volume(_small_volume(n=n, m=4))
-        assert len(calls) == -(-n // ft._GRID_BLOCK) + ft._BRENT_STEPS
+    monkeypatch.setattr(ft, "_profile", profile_rows)
+    pvalues = np.random.default_rng(53).uniform(0.5, 1.0, (12, 5))
+    fits = ft.fit_volume(_replication_set(pvalues, np.full(12, 122.0)))
+    assert fits.null_proved.all()
+    assert sum(rows) == 0
+    assert (fits.lam == ft._LAM_EPS).all() and (fits.delta == 1.0 + np.exp(ft._V_GRID[0])).all()
+
+    # on the default scenario the grid solves lam_hat on fewer than half of
+    # the 97 rows per voxel that the exhaustive grid solves
+    solved = []
+
+    def lam_hat_rows(logr, lam):
+        solved.append(len(logr))
+        return lam_hat(logr, lam)
+
+    monkeypatch.setattr(ft, "_lam_hat", lam_hat_rows)
+    data = _small_volume(n=2000, m=12, seed=5)
+    null = ft._grid(ft._quantile_groups(data.pvalues, data.dofs), data.n_masked)[3]
+    assert sum(solved) < ft._V_GRID.size * data.n_masked / 2
+    assert null.any() and not null.all()
+
+
+def _oracle_case(name):
+    """(pvalues, dofs) of a grid-oracle case."""
+    rng = np.random.default_rng(61)
+    if name == "default":
+        data = sim.generate_replications(sim.make_ground_truth(60, "default", seed=61), 12, 61)
+        return data.pvalues, data.dofs
+    if name == "dense-M2":
+        data = sim.generate_replications(sim.make_ground_truth(60, "dense", seed=62), 2, 62)
+        return data.pvalues, data.dofs
+    if name == "null-nu4":
+        return rng.uniform(1e-12, 1.0, (12, 60)), np.full(12, 4.0)
+    if name == "mixed-dofs":
+        data = sim.generate_replications(sim.make_ground_truth(60, "dense", seed=63), 9, 63)
+        return data.pvalues, np.array([4.0, 10.0, 122.0] * 3)
+    if name == "two-maxima":
+        # grid profile with local maxima at grid points 43 and 54, 5.6e-4
+        # apart, in the knot intervals on either side of knot 48
+        return np.array([[0.00581395928112939], [0.3868818966095411]]), np.full(2, 122.0)
+    # six p-values of 1e-100: the best grid point is the delta cap
+    return np.concatenate([np.full(6, 1e-100), rng.uniform(size=6)])[:, None], np.full(12, 122.0)
+
+
+_ORACLE_CASES = ["default", "dense-M2", "null-nu4", "mixed-dofs", "two-maxima", "delta-cap"]
+
+
+@pytest.mark.parametrize("block", [1, 7, None, "default"])
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_grid_matches_exhaustive_oracle_bit_for_bit(monkeypatch, case, block):
+    pvalues, dofs = _oracle_case(case)
+    n = pvalues.shape[1]
+    if block != "default":
+        monkeypatch.setattr(ft, "_GRID_BLOCK", block or n)
+    groups = ft._quantile_groups(pvalues, dofs)
+    want = grid_argmax_exhaustive(groups, n)
+    got = ft._grid(groups, n)
+    for w, g in zip(want, got):
+        np.testing.assert_array_equal(g, w)
+    if case == "two-maxima":
+        assert want[0][0] == 54
+    if case == "delta-cap":
+        assert want[0][0] == ft._V_GRID.size - 1
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_fit_volume_matches_fit_on_exhaustive_grid(monkeypatch, case):
+    # the pruned grid and the skipped refinement of proved-null voxels move
+    # no bit of the fit
+    data = _replication_set(*_oracle_case(case))
+    got = ft.fit_volume(data)
+    monkeypatch.setattr(ft, "_grid", lambda groups, n: (*grid_argmax_exhaustive(groups, n),
+                                                        np.zeros(n, dtype=bool)))
+    want = ft.fit_volume(data)
+    for field in ("lam", "delta", "loglik", "converged"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def _bound_holds(a, nu, swap=False):
+    """Whether, on every knot interval, the interval bounds are at or above
+    _log_ratios at 64 delta spread through the interval, and a dead
+    interval's 64 rows all take lam_hat at its lower clip with value 0.
+    swap gives each end of an interval the other end's slope."""
+    groups = [(a[None, :], nu)]
+    knot_delta = 1.0 + np.exp(ft._V_GRID[ft._KNOTS])
+    y = ft._log_ratios(groups, knot_delta)
+    g = ft._log_ratio_slopes(groups, knot_delta)
+    for i in range(knot_delta.size - 1):
+        ends = slice(i, i + 2)
+        bound, dead = ft._interval_bounds(y[ends], g[ends][::-1] if swap else g[ends],
+                                          knot_delta[ends])
+        delta = np.linspace(knot_delta[i], knot_delta[i + 1], 64)
+        logr = ft._log_ratios([(np.tile(a, (64, 1)), nu)], delta)
+        if not (logr <= bound).all():
+            return False
+        if dead[0]:
+            lam, value = ft._lam_hat(logr, np.full(64, 0.5))
+            if not ((lam == ft._LAM_EPS).all() and (value == 0.0).all()):
+                return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interval_bounds_cover_log_ratios(data):
+    m = data.draw(st.integers(min_value=1, max_value=12), label="m")
+    a = data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
+                                     exclude_max=True), min_size=m, max_size=m), label="a")
+    nu = data.draw(st.sampled_from([1.0, 4.0, 122.0, 1000.0]), label="nu")
+    assert _bound_holds(np.sort(a), nu)
+
+
+def test_interval_bounds_fail_with_swapped_tangents():
+    # log R peaks inside some knot interval: each end's own tangent bounds
+    # it, the other end's does not
+    a = np.array([0.3, 0.5, 0.6])
+    assert _bound_holds(a, 122.0)
+    assert not _bound_holds(a, 122.0, swap=True)
