@@ -144,6 +144,7 @@ def cmd_fit(args):
             "n_not_converged": int(np.count_nonzero(~fits.converged)),
             "n_clamped_pvalues": int(fits.clamp_counts.sum()),
             "n_null_proved": n_null,
+            "refine_evaluations": fits.refine_evaluations,
         },
         None,
     )

@@ -8,12 +8,12 @@ fixed delta,
 is concave in lam, and its derivative sum_j (R_j - 1) / (1 - lam + lam R_j)
 has a closed form. So lam_hat(delta) is one safeguarded Newton solve on
 that derivative, and the fit reduces to maximizing the profile
-l(lam_hat(delta), delta) over the single variable v = log(delta - 1). The
-search covers the delta floor 1 + 1e-12 to the delta cap 50: a shared grid
-in v that includes both ends, then 14 profile evaluations of Brent's search
-(Brent 1973, ch. 5) around each voxel's best grid point. A point replaces
-the best only if strictly better: the result is never worse than the best
-grid point, and ties keep it.
+l(lam_hat(delta), delta) over delta, from the floor 1 + 1e-12 to the cap
+50: a shared grid in v = log(delta - 1) that includes both ends, then a
+root search on the profile's slope, which the envelope theorem gives from
+the lam solve, in the cell toward which the profile rises from each
+voxel's best grid point (_refine, at most 6 evaluations). A point replaces
+the best only if strictly better, so ties keep the best grid point.
 
 The grid is a branch and bound over its 97 points that returns what
 evaluating all of them returns, bit for bit. Each log R_j is strictly
@@ -29,13 +29,11 @@ keep sum_j R_j under M, so that lam_hat sits at its lower clip with value 0,
 which is what the solve returns there; pruned, when the interval's bound
 is below the best knot value, so that the point can neither win nor tie;
 or evaluated, in one array pass per block. A voxel whose intervals are all
-dead is null on the whole delta range, so no Brent point can beat grid
-point 0; it skips the refinement. Each Brent step runs on all other voxels
-at once, its lam solve warm started from the best lam_hat found so far.
-Arrays hold one row per (voxel, delta) pair, and the lam solve steps only
-the rows still moving. The profile value costs one log per element (see
-_lam_hat); the reported log-likelihood is the model's log mixture at the
-final (lam, delta).
+dead is null on the whole delta range and skips the refinement, which
+steps all other voxels at once. Arrays hold one row per (voxel, delta)
+pair, and the lam solve steps only the rows still moving. The profile
+value costs one log per element (see _lam_hat); the reported
+log-likelihood is the model's log mixture at the final (lam, delta).
 
 Each voxel's p-values are sorted within their dof group before any sum, so
 a fit is invariant to the order of the replications, and no row's
@@ -67,7 +65,8 @@ DELTA_CAP = 50.0
 _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
-_BRENT_STEPS, _BRENT_TOL = 14, 1e-9  # refinement: profile evaluations, least step in v
+# refinement: evaluations per voxel, and least bracket relative in delta - 1
+_REFINE_EVALS, _REFINE_TOL = 6, 1e-9
 # voxels per grid pass: a block holds up to 97 rows per voxel in each array
 _GRID_BLOCK = 64
 # grid points per knot interval of the branch and bound; the knots are grid
@@ -84,7 +83,6 @@ _BOUND_SLACK = 1e-8
 _NEWTON_STEPS = 60
 # rounding floor of a slope sum, per unit of sum_j |t_j|
 _SLOPE_FLOOR = 8.0 * np.finfo(np.float64).eps
-_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # share of the bracket's larger part
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,8 @@ class VolumeFit:
     # voxels whose grid bounds prove the profile null on the whole delta
     # range; None for fits read back from maps
     null_proved: np.ndarray | None = None
+    # profile rows the refinement evaluated; None for fits read back from maps
+    refine_evaluations: int | None = None
 
     @property
     def n_masked(self):
@@ -156,13 +156,16 @@ def _q_r(logr):
     return np.where(logr < 0.0, e, 1.0), np.where(logr > 0.0, e, 1.0)
 
 
-def _lam_hat(logr, lam):
+def _lam_hat(logr, lam, dlogr=None):
     """Row-wise maximizer of l(lam) = sum_j log(1 - lam + lam R_j) over the
     clipped unit interval, by Newton steps from the starting values lam.
     Returns (lam_hat, profile value): l(lam_hat), except where lam_hat sits
     at its lower clip. There the supremum over lam is the lam = 0 value,
     exactly 0 whatever delta is (the mixture is uniform), so such voxels tie
-    across delta and keep the first grid point, the delta floor.
+    across delta and keep the first grid point, the delta floor. Given
+    dlogr, the g_j = d log R_j / d delta, it also returns the profile's
+    slope in delta, by the envelope theorem the partial slope at lam_hat:
+    lam sum_j q_j g_j / ((1 - lam) r_j + lam q_j), and 0 at the lower clip.
 
     With q = min(R, 1) and r = min(1/R, 1) (_q_r), the slope term is
     (R - 1) / (1 - lam + lam R) = (q - r) / (r + lam (q - r)), which cannot
@@ -209,27 +212,33 @@ def _lam_hat(logr, lam):
     k = np.flatnonzero(lam != _LAM_EPS)
     mix = (1.0 - lam[k, None]) * r_all[k] + lam[k, None] * q_all[k]
     value[k] = np.log(mix).sum(axis=1) + np.maximum(logr[k], 0.0).sum(axis=1)
-    return lam, value
+    if dlogr is None:
+        return lam, value
+    slope = np.zeros(lam.size)
+    slope[k] = lam[k] * (q_all[k] * dlogr[k] / mix).sum(axis=1)
+    return lam, value, slope
 
 
-def _profile(groups, v, lam0):
-    """(profile log-likelihood, lam_hat) at delta = 1 + e^v, one v per
-    row; the lam search starts from lam0 (see _lam_hat)."""
-    lam, f = _lam_hat(_log_ratios(groups, 1.0 + np.exp(v)), lam0)
-    return f, lam
-
-
-def _log_ratio_slopes(groups, delta):
-    """d log R_j / d delta for every (row, replication), delta one per row:
-    a_j (mu + (log M)'(mu)) - delta at mu = delta a_j, with (log M)' the
-    slope of the table that _log_ratios reads."""
+def _log_ratios_and_slopes(groups, delta):
+    """(log R_j, d log R_j / d delta) for every (row, replication), delta one
+    per row, from one table pass: log R_j as _log_ratios gives it, and its
+    slope a_j (mu + (log M)'(mu)) - delta at mu = delta a_j."""
     d = delta[:, None]
-    parts = []
+    ys, gs = [], []
     for a, nu in groups:
         mu = d * a
-        slope = special.get_moment_table(nu).with_slope(mu.ravel())[1].reshape(mu.shape)
-        parts.append(a * (mu + slope) - d)
-    return parts[0] if len(parts) == 1 else np.hstack(parts)
+        tab = special.get_moment_table(nu)
+        logm, slope = tab.with_slope(mu.ravel()).reshape((2,) + mu.shape)
+        ys.append(0.5 * (mu * mu - d * d) + logm - tab.at_zero)
+        gs.append(a * (mu + slope) - d)
+    return (ys[0], gs[0]) if len(groups) == 1 else (np.hstack(ys), np.hstack(gs))
+
+
+def _evaluate(groups, u, lam0):
+    """(lam_hat, profile value, its slope in delta) at delta = 1 + u, one u
+    per row; the lam search starts from lam0 (see _lam_hat)."""
+    logr, dlogr = _log_ratios_and_slopes(groups, 1.0 + u)
+    return _lam_hat(logr, lam0, dlogr)
 
 
 def _interval_bounds(y, g, delta):
@@ -258,9 +267,10 @@ def _interval_bounds(y, g, delta):
 
 def _grid(groups, n):
     """Best grid point of every voxel: (index into _V_GRID, profile value,
-    lam_hat, null), bit for bit what one _profile call on all 97 points
-    finds, ties to the lower delta; null marks the voxels whose knot
-    intervals are all dead (_interval_bounds). Knot rows, tiled knot-major,
+    lam_hat, the values at the grid points on either side, -inf past the
+    ends, null), bit for bit what one _lam_hat call on all 97 points finds,
+    ties to the lower delta; null marks the voxels whose knot intervals
+    are all dead (_interval_bounds). Knot rows, tiled knot-major,
     and evaluated rows start their lam search from 0.5, as that call does,
     and evaluated rows take C-contiguous copies of their quantile rows, so
     their sums keep their order. An interval is pruned when the lam solve
@@ -270,6 +280,7 @@ def _grid(groups, n):
     best_k = np.empty(n, dtype=np.intp)
     best_f, best_lam = np.empty(n), np.empty(n)
     null = np.empty(n, dtype=bool)
+    side = np.empty((2, n))
     nk = _KNOTS.size
     knot_v = _V_GRID[_KNOTS]
     interval = _INTERIOR // _KNOT_STEP
@@ -278,10 +289,8 @@ def _grid(groups, n):
         block = [(a[s:s + b], nu) for a, nu in groups]
         knots = [(np.tile(a, (nk, 1)), nu) for a, nu in block]
         delta = 1.0 + np.exp(np.repeat(knot_v, b))
-        logr = _log_ratios(knots, delta)
-        bound, dead = _interval_bounds(logr.reshape(nk, b, m),
-                                       _log_ratio_slopes(knots, delta).reshape(nk, b, m),
-                                       delta[::b])
+        logr, slope = _log_ratios_and_slopes(knots, delta)
+        bound, dead = _interval_bounds(logr.reshape(nk, b, m), slope.reshape(nk, b, m), delta[::b])
         live = ~dead
         # the knots' and the live intervals' lam solves share one call
         lam_k, f_k = _lam_hat(np.vstack([logr, bound[live]]),
@@ -291,54 +300,77 @@ def _grid(groups, n):
         f_best = f_k.max(axis=0)
         live[live] = upper >= (f_best - _BOUND_SLACK * (1.0 + np.abs(f_best)))[np.nonzero(live)[1]]
         # grid-major rows: the knots, then dead 0, pruned -inf, live evaluated
-        f, lam = np.empty((_V_GRID.size, b)), np.full((_V_GRID.size, b), _LAM_EPS)
+        # f is framed by -inf rows past the grid's ends, so a voxel's
+        # neighbouring grid points are rows k and k + 2 of the frame
+        padded, lam = np.full((_V_GRID.size + 2, b), -np.inf), np.full((_V_GRID.size, b), _LAM_EPS)
+        f = padded[1:-1]
         f[_KNOTS], lam[_KNOTS] = f_k, lam_k
         f[_INTERIOR] = np.where(dead[interval], 0.0, -np.inf)
         rows, cols = np.nonzero(live[interval])
-        f[_INTERIOR[rows], cols], lam[_INTERIOR[rows], cols] = _profile(
-            [(a[cols], nu) for a, nu in block], _V_GRID[_INTERIOR[rows]], np.full(rows.size, 0.5))
+        lam[_INTERIOR[rows], cols], f[_INTERIOR[rows], cols] = _lam_hat(_log_ratios(
+            [(a[cols], nu) for a, nu in block], 1.0 + np.exp(_V_GRID[_INTERIOR[rows]])),
+            np.full(rows.size, 0.5))
         k = np.argmax(f, axis=0)
         cols = np.arange(b)
         best_k[s:s + b], best_f[s:s + b], best_lam[s:s + b] = k, f[k, cols], lam[k, cols]
         null[s:s + b] = dead.all(axis=0)
-    return best_k, best_f, best_lam, null
+        side[:, s:s + b] = padded[k, cols], padded[k + 2, cols]
+    return best_k, best_f, best_lam, side, null
 
 
-def _brent(groups, best_k, best_f, best_lam):
-    """Brent's search over the cells on each side of each voxel's best grid
-    point; returns the final (v, lam_hat)."""
-    # pts holds x, the best point, then w and v, the next best; d and e are
-    # the last two steps. A step goes to the vertex of the parabola through
-    # x, w and v if inside [a, b] and under e / 2, else golden into the
-    # larger part.
-    a = _V_GRID[np.maximum(best_k - 1, 0)]
-    b = _V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)]
-    pts, fs, row = np.tile(_V_GRID[best_k], (3, 1)), np.tile(best_f, (3, 1)), np.arange(3)[:, None]
-    d = e = np.zeros(best_k.size)
-    for _ in range(_BRENT_STEPS):
-        (x, w, v), (fx, fw, fv), mid = pts, fs, 0.5 * (a + b)
-        golden = np.where(x >= mid, a - x, b - x)
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q = np.where(q > 0.0, -p, p), np.abs(q)
-        parabolic = ((np.abs(e) > _BRENT_TOL) & (np.abs(p) < np.abs(0.5 * q * e))
-                     & (p > q * (a - x)) & (p < q * (b - x)))
-        step = np.divide(p, q, out=np.zeros(x.size), where=parabolic)
-        near_end = (x + step - a < 2.0 * _BRENT_TOL) | (b - x - step < 2.0 * _BRENT_TOL)
-        step = np.where(near_end, np.copysign(_BRENT_TOL, mid - x), step)
-        e, d = np.where(parabolic, d, golden), np.where(parabolic, step, _GOLDEN_CUT * golden)
-        u = np.clip(x + np.where(np.abs(d) >= _BRENT_TOL, d, np.copysign(_BRENT_TOL, d)), a, b)
-        fu, lam_u = _profile(groups, u, best_lam)
-        # u's rank among (x, w, v), 3 for none; x only if strictly better
-        rank = np.select([fu > fx, (fu >= fw) | (w == x), (fu >= fv) | (v == x) | (v == w)],
-                         [0, 1, 2], 3)
-        # of u and x, the worse one becomes an end of the bracket
-        end, inner = np.where(rank == 0, x, u), np.where(rank == 0, u, x)
-        a, b = np.where(end < inner, end, a), np.where(end > inner, end, b)
-        pts = np.where(row < rank, pts, np.where(row == rank, u, np.roll(pts, 1, axis=0)))
-        fs = np.where(row < rank, fs, np.where(row == rank, fu, np.roll(fs, 1, axis=0)))
-        best_lam = np.where(rank == 0, lam_u, best_lam)
-    return pts[0], best_lam
+def _refine(groups, best_k, best_f, best_lam, f_side):
+    """Root search on the profile's slope around each voxel's best grid
+    point; returns the final (delta - 1, lam_hat) and the rows evaluated.
+    The first evaluation, at the grid point, keeps the cell toward which
+    the profile rises as the bracket, and each trial point is, in turn:
+    the secant root of the last two points' slopes, if it lies between the
+    last point and the bracket's middle (Dekker 1969) and, once both ends
+    are evaluated points, the two are on one side of the root; else, while
+    the far end is still the neighbouring grid point (never pruned: an
+    interval's bound is at least its knots' values), regula falsi toward
+    it, with the slope there of the parabola through the last point's value
+    and slope and the neighbour's value, halved after each trial (Illinois;
+    Dowell & Jarratt 1971), so the first is that parabola's vertex; else
+    the root of the slope of the cubic through both ends' values and
+    slopes, which follows the kink where lam_hat reaches its upper clip;
+    and the bisection if that is not strictly inside the bracket. Points
+    are taken in delta, where the floor cell's profile is smooth. A voxel
+    stops after _REFINE_EVALS evaluations, at a slope of exactly 0, or at a
+    bracket under _REFINE_TOL relative."""
+    u = np.exp(_V_GRID[best_k])
+    x, live, sub, rows = u.copy(), np.arange(u.size), groups, 0
+    a = np.exp(_V_GRID[np.maximum(best_k - 1, 0)])
+    b = np.exp(_V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)])
+    (fa, fb), fbest = f_side, best_f.copy()
+    sa, sb, xl, sl = (np.full(u.size, np.nan) for _ in range(4))
+    for it in range(_REFINE_EVALS):
+        lx, fx, sx = _evaluate(sub, x, best_lam[live])
+        rows += live.size
+        better = fx > fbest  # a point replaces the best only if strictly better
+        u[live[better]], best_lam[live[better]], fbest[better] = x[better], lx[better], fx[better]
+        right = sx > 0.0
+        a, fa, sa = np.where(right, x, a), np.where(right, fx, fa), np.where(right, sx, sa)
+        b, fb, sb = np.where(right, b, x), np.where(right, fb, fx), np.where(right, sb, sx)
+        xp, sp, xl, sl = xl, sl, x, sx
+        go = (sx != 0.0) & (b - a >= _REFINE_TOL * a)
+        live, a, b, fa, fb, sa, sb, xp, sp, xl, sl, fbest = (
+            v[go] for v in (live, a, b, fa, fb, sa, sb, xp, sp, xl, sl, fbest))
+        if not live.size:
+            break
+        sub = [(x_[go], nu) for x_, nu in sub]
+        h, far, crossed = b - a, np.where(sl > 0.0, b, a), ~np.isnan(sa + sb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = xl - sl * (xl - xp) / (sl - sp)
+            falsi = xl - sl * (xl - far) / (sl - (2.0 * (fb - fa) / h - sl) * 0.5 ** it)
+            # the cubic's slope is sa + B t + c t^2 at a + h t, with B = sb - sa - c
+            c = 3.0 * (sa + sb - 2.0 * (fb - fa) / h)
+            root = np.sqrt(np.maximum((sb - sa - c) ** 2 - 4.0 * sa * c, 0.0))
+            cubic = a + 2.0 * h * sa / (c - sb + sa + root)
+            take = (secant - xl) * (secant - a - 0.5 * h) < 0.0
+            take &= ~crossed | ((sl > 0.0) == (sp > 0.0))
+            x = np.where(take, secant, np.where(crossed, cubic, falsi))
+            x = np.where((x > a) & (x < b), x, a + 0.5 * h)
+    return u, best_lam, rows
 
 
 def _fit(pvalues, dofs):
@@ -346,16 +378,18 @@ def _fit(pvalues, dofs):
 
     Returns (lam, delta, loglik, null) arrays over the N voxels, null
     marking the voxels the grid proved null (see _grid), which keep grid
-    point 0, the delta floor, with lam_hat at its lower clip.
+    point 0, the delta floor, with lam_hat at its lower clip; then the
+    number of rows the refinement evaluated.
     """
     groups = _quantile_groups(pvalues, dofs)
-    best_k, best_f, lam, null = _grid(groups, pvalues.shape[1])
-    v = _V_GRID[best_k]
+    best_k, best_f, lam, f_side, null = _grid(groups, pvalues.shape[1])
+    u = np.exp(_V_GRID[best_k])
     live = np.flatnonzero(~null)
-    v[live], lam[live] = _brent([(a[live], nu) for a, nu in groups],
-                                best_k[live], best_f[live], lam[live])
-    delta = 1.0 + np.exp(v)
-    return lam, delta, _log_mixture(lam[:, None], _log_ratios(groups, delta)).sum(axis=1), null
+    u[live], lam[live], rows = _refine([(a[live], nu) for a, nu in groups], best_k[live],
+                                       best_f[live], lam[live], f_side[:, live])
+    delta = 1.0 + u
+    loglik = _log_mixture(lam[:, None], _log_ratios(groups, delta)).sum(axis=1)
+    return lam, delta, loglik, null, rows
 
 
 def fit_voxel(pvals):
@@ -364,7 +398,7 @@ def fit_voxel(pvals):
     log-likelihood."""
     if not isinstance(pvals, PValueVector):
         raise TypeError("pvals must be a PValueVector")
-    lam, delta, loglik, _ = _fit(pvals.values[:, None], pvals.dofs)
+    lam, delta, loglik, _, _ = _fit(pvals.values[:, None], pvals.dofs)
     return VoxelFit(
         lam_hat=float(lam[0]),
         delta_hat=float(delta[0]),
@@ -380,7 +414,7 @@ def fit_volume(data):
     if data.n_masked == 0:
         raise ValueError("mask is empty")
     pvalues, _ = clamp_pvalues(data.pvalues)
-    lam, delta, loglik, null = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
+    lam, delta, loglik, null, rows = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
     return VolumeFit(
         dims=data.dims,
         mask=data.mask.copy(),
@@ -390,4 +424,5 @@ def fit_volume(data):
         converged=np.isfinite(loglik),
         clamp_counts=data.clamp_counts.copy(),
         null_proved=null,
+        refine_evaluations=rows,
     )

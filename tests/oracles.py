@@ -3,10 +3,12 @@
 Everything here deliberately avoids the production code paths: CDFs come
 from adaptive quadrature of textbook density formulas, the non-central CDF
 from its normal/chi-square convolution, AUC and Hellinger from adaptive
-quadrature on transformed scales. Slow but trustworthy. The one exception
-is grid_argmax_exhaustive, the fit's grid evaluated at every point through
-the fit's own row arithmetic, against which the pruned grid must agree bit
-for bit.
+quadrature on transformed scales. Slow but trustworthy. The exceptions
+are the two fit stages kept from earlier designs, both through the
+fit's own row arithmetic: grid_argmax_exhaustive, the grid evaluated at
+every point, against which the pruned grid must agree bit for bit, and
+refine_brent, Brent's search, which the fit's refinement must not fall
+short of.
 """
 
 import math
@@ -252,21 +254,76 @@ def bh_reject_bruteforce(pvals, q):
     return pvals <= order[k_best - 1]
 
 
+def _profile(groups, v, lam0):
+    """(profile log-likelihood, lam_hat) at delta = 1 + e^v, one v per row,
+    through the fit's own arithmetic; the lam search starts from lam0."""
+    lam, f = ft._lam_hat(ft._log_ratios(groups, 1.0 + np.exp(v)), lam0)
+    return f, lam
+
+
 def grid_argmax_exhaustive(groups, n):
     """Best grid point of every voxel with no pruning: (index into the
-    fit's 97-point v grid, profile value, lam_hat). A block of the fit's
-    grid-block size takes all grid points in one _profile call, on rows
-    tiled grid-major, each lam search from 0.5; np.argmax keeps a voxel's
-    first maximum, so ties go to the lower delta."""
+    fit's 97-point v grid, profile value, lam_hat, profile values at the
+    grid points on either side, -inf past the grid's ends). A block of the
+    fit's grid-block size takes all grid points in one _profile call, on
+    rows tiled grid-major, each lam search from 0.5; np.argmax keeps a
+    voxel's first maximum, so ties go to the lower delta."""
     best_k = np.empty(n, dtype=np.intp)
-    best_f, best_lam = np.empty(n), np.empty(n)
+    best_f, best_lam, side = np.empty(n), np.empty(n), np.empty((2, n))
     g = ft._V_GRID.size
     for s in range(0, n, ft._GRID_BLOCK):
         b = min(ft._GRID_BLOCK, n - s)
         block = [(np.tile(a[s:s + b], (g, 1)), nu) for a, nu in groups]
-        f, lam = ft._profile(block, np.repeat(ft._V_GRID, b), np.full(g * b, 0.5))
+        f, lam = _profile(block, np.repeat(ft._V_GRID, b), np.full(g * b, 0.5))
         f, lam = f.reshape(g, b), lam.reshape(g, b)
         k = np.argmax(f, axis=0)
         cols = np.arange(b)
         best_k[s:s + b], best_f[s:s + b], best_lam[s:s + b] = k, f[k, cols], lam[k, cols]
-    return best_k, best_f, best_lam
+        padded = np.vstack([np.full(b, -np.inf), f, np.full(b, -np.inf)])
+        side[:, s:s + b] = padded[k, cols], padded[k + 2, cols]
+    return best_k, best_f, best_lam, side
+
+
+# Brent's search: profile evaluations, least step in v, and the golden
+# section's share of the bracket's larger part
+_BRENT_STEPS, _BRENT_TOL = 14, 1e-9
+_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def refine_brent(groups, best_k, best_f, best_lam):
+    """The fit's earlier refinement: 14 profile evaluations of Brent's search
+    (Brent 1973, ch. 5) over the cells on each side of each voxel's best
+    grid point; returns the final (v, lam_hat). A point replaces the best
+    only if strictly better."""
+    # pts holds x, the best point, then w and v, the next best; d and e are
+    # the last two steps. A step goes to the vertex of the parabola through
+    # x, w and v if inside [a, b] and under e / 2, else golden into the
+    # larger part.
+    a = ft._V_GRID[np.maximum(best_k - 1, 0)]
+    b = ft._V_GRID[np.minimum(best_k + 1, ft._V_GRID.size - 1)]
+    pts, fs, row = np.tile(ft._V_GRID[best_k], (3, 1)), np.tile(best_f, (3, 1)), np.arange(3)[:, None]
+    d = e = np.zeros(best_k.size)
+    for _ in range(_BRENT_STEPS):
+        (x, w, v), (fx, fw, fv), mid = pts, fs, 0.5 * (a + b)
+        golden = np.where(x >= mid, a - x, b - x)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > _BRENT_TOL) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        step = np.divide(p, q, out=np.zeros(x.size), where=parabolic)
+        near_end = (x + step - a < 2.0 * _BRENT_TOL) | (b - x - step < 2.0 * _BRENT_TOL)
+        step = np.where(near_end, np.copysign(_BRENT_TOL, mid - x), step)
+        e, d = np.where(parabolic, d, golden), np.where(parabolic, step, _GOLDEN_CUT * golden)
+        u = np.clip(x + np.where(np.abs(d) >= _BRENT_TOL, d, np.copysign(_BRENT_TOL, d)), a, b)
+        fu, lam_u = _profile(groups, u, best_lam)
+        # u's rank among (x, w, v), 3 for none; x only if strictly better
+        rank = np.select([fu > fx, (fu >= fw) | (w == x), (fu >= fv) | (v == x) | (v == w)],
+                         [0, 1, 2], 3)
+        # of u and x, the worse one becomes an end of the bracket
+        end, inner = np.where(rank == 0, x, u), np.where(rank == 0, u, x)
+        a, b = np.where(end < inner, end, a), np.where(end > inner, end, b)
+        pts = np.where(row < rank, pts, np.where(row == rank, u, np.roll(pts, 1, axis=0)))
+        fs = np.where(row < rank, fs, np.where(row == rank, fu, np.roll(fs, 1, axis=0)))
+        best_lam = np.where(rank == 0, lam_u, best_lam)
+    return pts[0], best_lam

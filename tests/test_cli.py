@@ -41,8 +41,8 @@ def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path, capsys):
     assert main(["fit", "--input", str(reps), "--out", str(out)]) == 0
     from certmap.fit import fit_volume
 
-    n_null = int(fit_volume(vol.ReplicationSet.from_container(vol.read_container(reps)))
-                 .null_proved.sum())
+    fits = fit_volume(vol.ReplicationSet.from_container(vol.read_container(reps)))
+    n_null = int(fits.null_proved.sum())
     assert 0 < n_null < 16
     assert f"{n_null} proved null" in capsys.readouterr().out
     lam = vol.read_container(f"{out}.lambda.vol")
@@ -58,6 +58,9 @@ def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path, capsys):
     assert config["n_not_converged"] == 0
     assert config["threads"] == 1
     assert config["n_null_proved"] == n_null
+    # the refinement's profile rows: at least one, at most six per voxel it refines
+    refined = 16 - n_null
+    assert refined <= config["refine_evaluations"] == fits.refine_evaluations <= 6 * refined
     assert set(manifest["outputs"]) == {"lambda", "delta", "converged"}
     converged = vol.read_container(f"{out}.converged.vol")
     assert converged.kind == "decision"

@@ -11,7 +11,7 @@ from certmap import simulate as sim
 from certmap import special as sp
 from certmap.volume import ReplicationSet
 
-from oracles import grid_argmax_exhaustive, profile_max_bounded
+from oracles import grid_argmax_exhaustive, profile_max_bounded, refine_brent
 
 
 def _draw_voxel(lam, delta, nu, m, rng):
@@ -265,6 +265,25 @@ def test_log_ratios_match_nct_t_logratio_bit_for_bit():
             x = sp.t_upper_quantile(np.sort(pvalues[dofs == nu].T, axis=1), nu)
             want.append(sp.nct_t_logratio(x, nu, delta[:, None]))
         np.testing.assert_array_equal(ft._log_ratios(groups, delta), np.hstack(want))
+        # the grid's knots and the refinement read log R_j with its slope
+        np.testing.assert_array_equal(ft._log_ratios_and_slopes(groups, delta)[0], np.hstack(want))
+
+
+def test_profile_slope_matches_central_differences():
+    # the envelope theorem's slope against central differences of the
+    # profile value, on rows with lam_hat inside, at the upper clip (all
+    # p-values tiny) and at the lower clip (slope exactly 0)
+    rng = np.random.default_rng(44)
+    pvalues = np.hstack([rng.uniform(1e-6, 1.0, (8, 30)) ** 2, np.full((8, 4), 1e-9),
+                         rng.uniform(0.5, 1.0, (8, 4))])
+    groups = ft._quantile_groups(pvalues, np.full(8, 122.0))
+    u = np.exp(rng.uniform(np.log(0.05), np.log(ft.DELTA_CAP - 2.0), pvalues.shape[1]))
+    lam, f, slope = ft._evaluate(groups, u, np.full(u.size, 0.5))
+    assert (lam == 1.0 - ft._LAM_EPS).any() and (lam == ft._LAM_EPS).any()
+    assert (slope[lam == ft._LAM_EPS] == 0.0).all()
+    h = 1e-5 * (1.0 + u)
+    up, down = (ft._evaluate(groups, u + d, lam)[1] for d in (h, -h))
+    np.testing.assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-6)
 
 
 def test_one_exp_q_and_r_match_two_exp_form_bit_for_bit():
@@ -344,36 +363,42 @@ def _replication_set(pvalues, dofs):
 
 def test_fit_volume_profile_evaluations(monkeypatch):
     # every a_j <= 0 for p-values in [0.5, 1), so every R_j < 1 at any
-    # delta: the bounds prove the voxel null, no grid row past the knots
-    # and no Brent step reaches _profile, and the fit is the delta floor
-    # with lam_hat at its clip
-    rows = []
-    profile, lam_hat = ft._profile, ft._lam_hat
+    # delta: the bounds prove the voxel null, so no grid row past the knots
+    # reaches the lam solve and no refinement row reaches _evaluate, and
+    # the fit is the delta floor with lam_hat at its clip
+    solved, evaluated = [], []
+    lam_hat, evaluate = ft._lam_hat, ft._evaluate
 
-    def profile_rows(groups, v, lam0):
-        rows.append(v.size)
-        return profile(groups, v, lam0)
+    def lam_hat_rows(logr, lam, dlogr=None):
+        solved.append(len(logr))
+        return lam_hat(logr, lam, dlogr)
 
-    monkeypatch.setattr(ft, "_profile", profile_rows)
+    def evaluate_rows(groups, u, lam0):
+        evaluated.append(u.size)
+        return evaluate(groups, u, lam0)
+
+    monkeypatch.setattr(ft, "_lam_hat", lam_hat_rows)
+    monkeypatch.setattr(ft, "_evaluate", evaluate_rows)
     pvalues = np.random.default_rng(53).uniform(0.5, 1.0, (12, 5))
     fits = ft.fit_volume(_replication_set(pvalues, np.full(12, 122.0)))
     assert fits.null_proved.all()
-    assert sum(rows) == 0
+    assert sum(solved) == ft._KNOTS.size * 5
+    assert sum(evaluated) == fits.refine_evaluations == 0
     assert (fits.lam == ft._LAM_EPS).all() and (fits.delta == 1.0 + np.exp(ft._V_GRID[0])).all()
 
     # on the default scenario the grid solves lam_hat on fewer than half of
-    # the 97 rows per voxel that the exhaustive grid solves
-    solved = []
-
-    def lam_hat_rows(logr, lam):
-        solved.append(len(logr))
-        return lam_hat(logr, lam)
-
-    monkeypatch.setattr(ft, "_lam_hat", lam_hat_rows)
+    # the 97 rows per voxel that the exhaustive grid solves, and the
+    # refinement evaluates each voxel the grid did not prove null in at most
+    # 6 calls, the first on all of them at their best grid points
     data = _small_volume(n=2000, m=12, seed=5)
-    null = ft._grid(ft._quantile_groups(data.pvalues, data.dofs), data.n_masked)[3]
-    assert sum(solved) < ft._V_GRID.size * data.n_masked / 2
-    assert null.any() and not null.all()
+    solved.clear()
+    evaluated.clear()
+    fits = ft.fit_volume(data)
+    refined = np.count_nonzero(~fits.null_proved)
+    assert sum(solved) - sum(evaluated) < ft._V_GRID.size * data.n_masked / 2
+    assert 0 < refined < data.n_masked
+    assert len(evaluated) <= 6 and evaluated[0] == refined
+    assert sum(evaluated) == fits.refine_evaluations <= 6 * refined
 
 
 def _oracle_case(name):
@@ -432,6 +457,29 @@ def test_fit_volume_matches_fit_on_exhaustive_grid(monkeypatch, case):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
+@pytest.mark.parametrize("case", _ORACLE_CASES + ["default-2000"])
+def test_fit_refinement_not_below_brent_oracle(case):
+    # the slope search's log-likelihood is at least that of the 14 Brent
+    # steps it replaced, from the same grid, up to rounding; _fit takes the
+    # p-values unclamped, so the delta-cap case stays at the cap
+    if case == "default-2000":
+        data = _small_volume(n=2000, m=12, seed=5)
+        pvalues, dofs = data.pvalues, data.dofs
+    else:
+        pvalues, dofs = _oracle_case(case)
+    dofs = np.asarray(dofs, dtype=np.float64)
+    loglik = ft._fit(pvalues, dofs)[2]
+    groups = ft._quantile_groups(pvalues, dofs)
+    k, f, lam, _, null = ft._grid(groups, pvalues.shape[1])
+    v, live = ft._V_GRID[k], np.flatnonzero(~null)
+    v[live], lam[live] = refine_brent([(a[live], nu) for a, nu in groups],
+                                      k[live], f[live], lam[live])
+    brent = md._log_mixture(lam[:, None], ft._log_ratios(groups, 1.0 + np.exp(v))).sum(axis=1)
+    assert (loglik >= brent - 1e-12).all()
+    if case == "delta-cap":
+        assert k[0] == ft._V_GRID.size - 1
+
+
 def _bound_holds(a, nu, swap=False):
     """Whether, on every knot interval, the interval bounds are at or above
     _log_ratios at 64 delta spread through the interval, and a dead
@@ -439,8 +487,7 @@ def _bound_holds(a, nu, swap=False):
     swap gives each end of an interval the other end's slope."""
     groups = [(a[None, :], nu)]
     knot_delta = 1.0 + np.exp(ft._V_GRID[ft._KNOTS])
-    y = ft._log_ratios(groups, knot_delta)
-    g = ft._log_ratio_slopes(groups, knot_delta)
+    y, g = ft._log_ratios_and_slopes(groups, knot_delta)
     for i in range(knot_delta.size - 1):
         ends = slice(i, i + 2)
         bound, dead = ft._interval_bounds(y[ends], g[ends][::-1] if swap else g[ends],
