@@ -12,8 +12,9 @@ l(lam_hat(delta), delta) over delta, from the floor 1 + 1e-12 to the cap
 50: a shared grid in v = log(delta - 1) that includes both ends, then a
 root search on the profile's slope, which the envelope theorem gives from
 the lam solve, in the cell toward which the profile rises from each
-voxel's best grid point (_refine, at most 6 evaluations). A point replaces
-the best only if strictly better, so ties keep the best grid point.
+voxel's best grid point (_refine: Dekker's method, at most 14 evaluations,
+about 3.5 on average). A point replaces the best only if strictly better,
+so ties keep the best grid point.
 
 The grid is a branch and bound over its 97 points that returns what
 evaluating all of them returns, bit for bit. Each log R_j is strictly
@@ -66,7 +67,7 @@ _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])
 # refinement: evaluations per voxel, and least bracket relative in delta - 1
-_REFINE_EVALS, _REFINE_TOL = 6, 1e-9
+_REFINE_EVALS, _REFINE_TOL = 14, 1e-9
 # voxels per grid pass: a block holds up to 97 rows per voxel in each array
 _GRID_BLOCK = 64
 # grid points per knot interval of the branch and bound; the knots are grid
@@ -320,56 +321,50 @@ def _grid(groups, n):
 
 def _refine(groups, best_k, best_f, best_lam, f_side):
     """Root search on the profile's slope around each voxel's best grid
-    point; returns the final (delta - 1, lam_hat) and the rows evaluated.
-    The first evaluation, at the grid point, keeps the cell toward which
-    the profile rises as the bracket, and each trial point is, in turn:
-    the secant root of the last two points' slopes, if it lies between the
-    last point and the bracket's middle (Dekker 1969) and, once both ends
-    are evaluated points, the two are on one side of the root; else, while
-    the far end is still the neighbouring grid point (never pruned: an
-    interval's bound is at least its knots' values), regula falsi toward
-    it, with the slope there of the parabola through the last point's value
-    and slope and the neighbour's value, halved after each trial (Illinois;
-    Dowell & Jarratt 1971), so the first is that parabola's vertex; else
-    the root of the slope of the cubic through both ends' values and
-    slopes, which follows the kink where lam_hat reaches its upper clip;
-    and the bisection if that is not strictly inside the bracket. Points
-    are taken in delta, where the floor cell's profile is smooth. A voxel
-    stops after _REFINE_EVALS evaluations, at a slope of exactly 0, or at a
-    bracket under _REFINE_TOL relative."""
+    point (Dekker 1969); returns the final (delta - 1, lam_hat) and the
+    rows evaluated. The first evaluation, at the grid point, keeps the cell
+    toward which the profile rises as the bracket. Each trial point is the
+    secant root of the last two points' slopes if it lies between the last
+    point and the bracket's middle, else the middle; a step under half of
+    _REFINE_TOL relative is lengthened to that toward the root, so that a
+    voxel at its root lands past it and closes its bracket. The first
+    secant's other point is the neighbouring grid point (never pruned: an
+    interval's bound is at least its knots' values), with the slope there
+    of the parabola through the grid point's value and slope and the
+    neighbour's value, so the first trial is that parabola's vertex, within
+    half the cell as the neighbour's value is not above the grid point's.
+    Points are taken in delta, where the floor cell's profile is smooth. A
+    voxel stops after _REFINE_EVALS evaluations, at a slope of exactly 0,
+    or at a bracket under _REFINE_TOL relative."""
     u = np.exp(_V_GRID[best_k])
     x, live, sub, rows = u.copy(), np.arange(u.size), groups, 0
     a = np.exp(_V_GRID[np.maximum(best_k - 1, 0)])
     b = np.exp(_V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)])
-    (fa, fb), fbest = f_side, best_f.copy()
-    sa, sb, xl, sl = (np.full(u.size, np.nan) for _ in range(4))
+    fbest = best_f.copy()
     for it in range(_REFINE_EVALS):
         lx, fx, sx = _evaluate(sub, x, best_lam[live])
         rows += live.size
         better = fx > fbest  # a point replaces the best only if strictly better
         u[live[better]], best_lam[live[better]], fbest[better] = x[better], lx[better], fx[better]
         right = sx > 0.0
-        a, fa, sa = np.where(right, x, a), np.where(right, fx, fa), np.where(right, sx, sa)
-        b, fb, sb = np.where(right, b, x), np.where(right, fb, fx), np.where(right, sb, sx)
-        xp, sp, xl, sl = xl, sl, x, sx
-        go = (sx != 0.0) & (b - a >= _REFINE_TOL * a)
-        live, a, b, fa, fb, sa, sb, xp, sp, xl, sl, fbest = (
-            v[go] for v in (live, a, b, fa, fb, sa, sb, xp, sp, xl, sl, fbest))
-        if not live.size:
-            break
-        sub = [(x_[go], nu) for x_, nu in sub]
-        h, far, crossed = b - a, np.where(sl > 0.0, b, a), ~np.isnan(sa + sb)
+        # 0/0 and x/0 give NaN or inf: the seed's only on rows that stop,
+        # the secant's fail the window test and take the middle
         with np.errstate(divide="ignore", invalid="ignore"):
-            secant = xl - sl * (xl - xp) / (sl - sp)
-            falsi = xl - sl * (xl - far) / (sl - (2.0 * (fb - fa) / h - sl) * 0.5 ** it)
-            # the cubic's slope is sa + B t + c t^2 at a + h t, with B = sb - sa - c
-            c = 3.0 * (sa + sb - 2.0 * (fb - fa) / h)
-            root = np.sqrt(np.maximum((sb - sa - c) ** 2 - 4.0 * sa * c, 0.0))
-            cubic = a + 2.0 * h * sa / (c - sb + sa + root)
-            take = (secant - xl) * (secant - a - 0.5 * h) < 0.0
-            take &= ~crossed | ((sl > 0.0) == (sp > 0.0))
-            x = np.where(take, secant, np.where(crossed, cubic, falsi))
-            x = np.where((x > a) & (x < b), x, a + 0.5 * h)
+            if not it:
+                xl = np.where(right, b, a)
+                sl = 2.0 * (np.where(right, f_side[1], f_side[0]) - fx) / (xl - x) - sx
+            a, b = np.where(right, x, a), np.where(right, b, x)
+            xp, sp, xl, sl = xl, sl, x, sx
+            go = (sx != 0.0) & (b - a >= _REFINE_TOL * a)
+            live, a, b, xp, sp, xl, sl, fbest = (
+                v[go] for v in (live, a, b, xp, sp, xl, sl, fbest))
+            if not live.size:
+                break
+            sub = [(x_[go], nu) for x_, nu in sub]
+            x = xl - sl * (xl - xp) / (sl - sp)
+            x = np.where((x - xl) * (x - 0.5 * (a + b)) <= 0.0, x, 0.5 * (a + b))
+            tol = 0.5 * _REFINE_TOL * xl
+            x = np.where(np.abs(x - xl) < tol, xl + np.copysign(tol, sl), x)
     return u, best_lam, rows
 
 

@@ -58,7 +58,7 @@ def test_fit_smoke_and_outputs_parse(fixture_volumes, tmp_path, capsys):
     assert config["n_not_converged"] == 0
     assert config["threads"] == 1
     assert config["n_null_proved"] == n_null
-    # the refinement's profile rows: at least one, at most six per voxel it refines
+    # the refinement's profile rows: at least one per voxel it refines, at most six on average
     refined = 16 - n_null
     assert refined <= config["refine_evaluations"] == fits.refine_evaluations <= 6 * refined
     assert set(manifest["outputs"]) == {"lambda", "delta", "converged"}

@@ -389,7 +389,8 @@ def test_fit_volume_profile_evaluations(monkeypatch):
     # on the default scenario the grid solves lam_hat on fewer than half of
     # the 97 rows per voxel that the exhaustive grid solves, and the
     # refinement evaluates each voxel the grid did not prove null in at most
-    # 6 calls, the first on all of them at their best grid points
+    # _REFINE_EVALS calls, the first on all of them at their best grid
+    # points, and in at most 4 on average
     data = _small_volume(n=2000, m=12, seed=5)
     solved.clear()
     evaluated.clear()
@@ -397,8 +398,9 @@ def test_fit_volume_profile_evaluations(monkeypatch):
     refined = np.count_nonzero(~fits.null_proved)
     assert sum(solved) - sum(evaluated) < ft._V_GRID.size * data.n_masked / 2
     assert 0 < refined < data.n_masked
-    assert len(evaluated) <= 6 and evaluated[0] == refined
-    assert sum(evaluated) == fits.refine_evaluations <= 6 * refined
+    assert len(evaluated) <= ft._REFINE_EVALS and evaluated[0] == refined
+    assert sum(evaluated) == fits.refine_evaluations <= ft._REFINE_EVALS * refined
+    assert fits.refine_evaluations <= 4 * refined
 
 
 def _oracle_case(name):
@@ -419,11 +421,35 @@ def _oracle_case(name):
         # grid profile with local maxima at grid points 43 and 54, 5.6e-4
         # apart, in the knot intervals on either side of knot 48
         return np.array([[0.00581395928112939], [0.3868818966095411]]), np.full(2, 122.0)
-    # six p-values of 1e-100: the best grid point is the delta cap
-    return np.concatenate([np.full(6, 1e-100), rng.uniform(size=6)])[:, None], np.full(12, 122.0)
+    # the kink cases: voxels of 2 000 where lam_hat reaches its upper clip
+    # near the profile's maximum, so its slope kinks; single columns of
+    # generate_replications(make_ground_truth(2000, scen, seed=s), M, s)
+    if name == "kink-mixed":
+        # dense, s = 14, M = 9, column 446, at mixed dofs
+        p = [4.0853665601711995e-05, 1.7982925191406785e-10, 9.187307469601126e-08,
+             0.03775645098327558, 5.389322280359825e-07, 3.901220491173692e-06,
+             1.3309099266468923e-09, 6.667395618217773e-12, 2.472008058052708e-09]
+        return np.array(p)[:, None], np.array([4.0, 10.0, 122.0] * 3)
+    if name == "kink-default":
+        # default, s = 23, M = 6, column 756
+        p = [0.0001004125787936489, 0.0013529981707743409, 0.0002988941854201245,
+             0.11419417092589403, 0.2942450062588501, 0.008447832994835525]
+        return np.array(p)[:, None], np.full(6, 122.0)
+    if name == "kink-dense":
+        # dense, s = 12, M = 12, column 1578
+        p = [5.175537553223762e-10, 5.41780631812291e-07, 1.0448846029204447e-12,
+             0.00013605227454262288, 0.0002507573111911046, 1.0971851774792785e-05,
+             9.284556566032878e-11, 1.3773527125260904e-09, 0.020718716681485616,
+             6.755962814334807e-10, 1.4453963111929642e-07, 0.00014184756055355994]
+        return np.array(p)[:, None], np.full(12, 122.0)
+    # six p-values of 1e-100: the best grid point is the delta cap, at
+    # nu = 122 only before clamping, at nu = 4 after clamping too
+    p = np.concatenate([np.full(6, 1e-100), rng.uniform(size=6)])[:, None]
+    return p, np.full(12, 4.0 if name == "delta-cap-clamped" else 122.0)
 
 
-_ORACLE_CASES = ["default", "dense-M2", "null-nu4", "mixed-dofs", "two-maxima", "delta-cap"]
+_ORACLE_CASES = ["default", "dense-M2", "null-nu4", "mixed-dofs", "two-maxima", "delta-cap",
+                 "delta-cap-clamped", "kink-mixed", "kink-default", "kink-dense"]
 
 
 @pytest.mark.parametrize("block", [1, 7, None, "default"])
@@ -440,7 +466,7 @@ def test_grid_matches_exhaustive_oracle_bit_for_bit(monkeypatch, case, block):
         np.testing.assert_array_equal(g, w)
     if case == "two-maxima":
         assert want[0][0] == 54
-    if case == "delta-cap":
+    if case.startswith("delta-cap"):
         assert want[0][0] == ft._V_GRID.size - 1
 
 
@@ -455,6 +481,8 @@ def test_fit_volume_matches_fit_on_exhaustive_grid(monkeypatch, case):
     want = ft.fit_volume(data)
     for field in ("lam", "delta", "loglik", "converged"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    if case == "delta-cap-clamped":
+        assert got.delta[0] == 1.0 + np.exp(ft._V_GRID[-1])
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES + ["default-2000"])
@@ -476,7 +504,7 @@ def test_fit_refinement_not_below_brent_oracle(case):
                                       k[live], f[live], lam[live])
     brent = md._log_mixture(lam[:, None], ft._log_ratios(groups, 1.0 + np.exp(v))).sum(axis=1)
     assert (loglik >= brent - 1e-12).all()
-    if case == "delta-cap":
+    if case.startswith("delta-cap"):
         assert k[0] == ft._V_GRID.size - 1
 
 
