@@ -191,8 +191,9 @@ def optimal_threshold(params, nu):
     return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
 
 
-# 64 nodes leave 2.6e-6 at nu = 1, delta = 50; the weights themselves are
-# off by 2.7e-15 in total at 100 nodes and 3.1e-15 at 128 (40-digit check)
+# nodes below nu = 40: 64 leave 2.6e-6 at nu = 1, delta = 50; the weights are
+# off by 2.7e-15 in total at 100 and 3.1e-15 at 128 (40-digit check). From
+# nu = 40 on the log-moment table's 48-node rule is within 9e-14 of 100 nodes
 _AUC_ORDER = 100
 _AUC_WMIN = -36.0  # integrate s (and 1 - s) down to e^-36
 _AUC_BLOCK = 256  # values of delta per nct_t_logratio call
@@ -203,7 +204,8 @@ def _auc_nodes(nu):
     """One rule for integral_0^1 s R ds: statistic-scale nodes x(s) for s in
     (e^-36, 1/2], whose weights are those of s R ds at s, followed by -x,
     the nodes of 1 - s, whose weights are those of (1 - s) R ds there."""
-    nodes, weights = special._gauss_legendre(_AUC_ORDER)
+    order = _AUC_ORDER if nu < special._NU_RUNG else special._PEAK_ORDER
+    nodes, weights = special._gauss_legendre(order)
     scale = 0.5 * (math.log(0.5) - _AUC_WMIN)
     s = np.exp(_AUC_WMIN + scale * (nodes + 1.0))
     x = np.atleast_1d(special.t_upper_quantile(s, nu))

@@ -334,8 +334,10 @@ def _refine(groups, best_k, best_f, best_lam, f_side):
     neighbour's value, so the first trial is that parabola's vertex, within
     half the cell as the neighbour's value is not above the grid point's.
     Points are taken in delta, where the floor cell's profile is smooth. A
-    voxel stops after _REFINE_EVALS evaluations, at a slope of exactly 0,
-    or at a bracket under _REFINE_TOL relative."""
+    trial with lam_hat at its lower clip (a flat stretch, slope 0) ends the
+    bracket on its side of the best point, and the middle comes next. A
+    voxel stops after _REFINE_EVALS evaluations, at any other slope of
+    exactly 0, or at a bracket under _REFINE_TOL relative."""
     u = np.exp(_V_GRID[best_k])
     x, live, sub, rows = u.copy(), np.arange(u.size), groups, 0
     a = np.exp(_V_GRID[np.maximum(best_k - 1, 0)])
@@ -346,23 +348,25 @@ def _refine(groups, best_k, best_f, best_lam, f_side):
         rows += live.size
         better = fx > fbest  # a point replaces the best only if strictly better
         u[live[better]], best_lam[live[better]], fbest[better] = x[better], lx[better], fx[better]
-        right = sx > 0.0
+        flat = (lx == _LAM_EPS) & (x != u[live])
+        right = (sx > 0.0) | (flat & (x < u[live]))
         # 0/0 and x/0 give NaN or inf: the seed's only on rows that stop,
         # the secant's fail the window test and take the middle
         with np.errstate(divide="ignore", invalid="ignore"):
-            if not it:
-                xl = np.where(right, b, a)
-                sl = 2.0 * (np.where(right, f_side[1], f_side[0]) - fx) / (xl - x) - sx
+            if not it:  # flat rows keep (xp, sp); there are none yet
+                xp = xl = np.where(right, b, a)
+                sp = sl = 2.0 * (np.where(right, f_side[1], f_side[0]) - fx) / (xl - x) - sx
             a, b = np.where(right, x, a), np.where(right, b, x)
-            xp, sp, xl, sl = xl, sl, x, sx
-            go = (sx != 0.0) & (b - a >= _REFINE_TOL * a)
-            live, a, b, xp, sp, xl, sl, fbest = (
-                v[go] for v in (live, a, b, xp, sp, xl, sl, fbest))
+            xp, sp, xl, sl = (np.where(flat, old, new)
+                              for old, new in ((xp, xl), (sp, sl), (xl, x), (sl, sx)))
+            go = ((sx != 0.0) | flat) & (b - a >= _REFINE_TOL * a)
+            live, a, b, xp, sp, xl, sl, fbest, flat = (
+                v[go] for v in (live, a, b, xp, sp, xl, sl, fbest, flat))
             if not live.size:
                 break
             sub = [(x_[go], nu) for x_, nu in sub]
             x = xl - sl * (xl - xp) / (sl - sp)
-            x = np.where((x - xl) * (x - 0.5 * (a + b)) <= 0.0, x, 0.5 * (a + b))
+            x = np.where(~flat & ((x - xl) * (x - 0.5 * (a + b)) <= 0.0), x, 0.5 * (a + b))
             tol = 0.5 * _REFINE_TOL * xl
             x = np.where(np.abs(x - xl) < tol, xl + np.copysign(tol, sl), x)
     return u, best_lam, rows

@@ -342,9 +342,10 @@ def _hellinger_layout(nu, d_max):
 
 def _half_log_f(x, nu, lam, delta):
     """log(f) / 2 of each voxel's mixture at the nodes x, one row per voxel;
-    density ratios are taken once per distinct delta, then gathered."""
-    deltas, which = np.unique(delta, return_inverse=True)
-    return 0.5 * _log_mixture(lam[:, None], special.nct_t_logratio(x, nu, deltas[:, None])[which])
+    each distinct (lam, delta) pair is scored once, then gathered."""
+    pairs, which = np.unique(np.stack([lam, delta], axis=1), axis=0, return_inverse=True)
+    rows = _log_mixture(pairs[:, :1], special.nct_t_logratio(x, nu, pairs[:, 1:]))
+    return 0.5 * rows[which.ravel()]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Everything here deliberately avoids the production code paths: CDFs come
 from adaptive quadrature of textbook density formulas, the non-central CDF
 from its normal/chi-square convolution, AUC and Hellinger from adaptive
 quadrature on transformed scales. Slow but trustworthy. The exceptions
-are the two fit stages kept from earlier designs, both through the
-fit's own row arithmetic: grid_argmax_exhaustive, the grid evaluated at
-every point, against which the pruned grid must agree bit for bit, and
+are three stages kept from earlier designs. Two are fit stages through
+the fit's own row arithmetic: grid_argmax_exhaustive, the grid evaluated
+at every point, against which the pruned grid must agree bit for bit, and
 refine_brent, Brent's search, which the fit's refinement must not fall
-short of.
+short of. The third, far_tail_exp_sinh, is the tail mass on the 111-node
+exp-sinh rule, through the log-moment table, which the smaller rule from
+nu = 40 on must match and which every smaller dof still takes.
 """
 
 import math
@@ -19,6 +21,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from certmap import fit as ft
+from certmap import special as sp
 
 
 def t_pdf_formula(x, nu):
@@ -327,3 +330,33 @@ def refine_brent(groups, best_k, best_f, best_lam):
         fs = np.where(row < rank, fs, np.where(row == rank, fu, np.roll(fs, 1, axis=0)))
         best_lam = np.where(rank == 0, lam_u, best_lam)
     return pts[0], best_lam
+
+
+# exp-sinh rule (Takahasi & Mori 1974): v = exp(pi/2 sinh s) at step 1/16
+# over s in [-3.875, 3], v from 1e-17 to 7e6
+_TAIL_STEP = 1.0 / 16.0
+_TAIL_S = np.arange(-62, 49) * _TAIL_STEP
+_TAIL_V = np.exp(0.5 * math.pi * np.sinh(_TAIL_S))
+_TAIL_W = _TAIL_STEP * 0.5 * math.pi * np.cosh(_TAIL_S) * _TAIL_V
+
+
+def far_tail_exp_sinh(x, delta, nu):
+    """special._far_tail on the 111-node exp-sinh rule at every dof: the
+    mass beyond finite x on the side away from the mode, and whether that
+    side is the upper one."""
+    wx = np.arcsinh(x / math.sqrt(nu))
+    a = np.tanh(wx)
+    e = np.exp(-np.abs(wx))
+    c2 = (2.0 * e / (1.0 + e * e)) ** 2
+    s_star, root = sp._moment_peak(delta * a, nu + 1.0)
+    slope = -nu * a + delta * s_star * c2
+    curv = (-nu * c2 + delta * delta * (s_star / root) * c2 * c2
+            - 2.0 * delta * s_star * c2 * a)
+    up = slope <= 0.0
+    h = sp._TAIL_SCALE / (np.abs(slope) + np.sqrt(np.abs(curv)))
+    w = wx[:, None] + np.where(up, h, -h)[:, None] * _TAIL_V
+    aw = np.abs(w)
+    log_j = (float(sp.t_pdf_log(0.0, nu)) + 0.5 * math.log(nu) + nu * math.log(2.0)
+             - nu * (aw + np.log1p(np.exp(-2.0 * aw)))
+             + sp._logratio_at(delta[:, None] * np.tanh(w), delta[:, None], nu))
+    return np.clip(h * np.sum(np.exp(log_j) * _TAIL_W, axis=1), 0.0, 1.0), up

@@ -164,6 +164,38 @@ def test_auc_matches_adaptive_oracle(nu, delta):
     assert abs(got - want) < 1e-7
 
 
+@pytest.mark.parametrize("nu", [1.0, 4.0, 30.0, 40.0, 122.0, 1000.0])
+def test_auc_rule_sized_to_dof(monkeypatch, nu):
+    # from nu = 40 on the 48-node rule is within 1e-12 of 100 nodes; below,
+    # the 100-node rule stays, bit for bit
+    delta = np.linspace(0.0, 50.0, 402)
+    got = ct.auc(delta, nu)
+    # the call above has built nu's log-moment table, so the patched order
+    # reaches AUC's rule alone
+    monkeypatch.setattr(ct, "_auc_nodes", ct._auc_nodes.__wrapped__)
+    monkeypatch.setattr(sp, "_PEAK_ORDER", ct._AUC_ORDER)
+    want = ct.auc(delta, nu)
+    if nu < sp._NU_RUNG:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_auc_nodes_build_only_the_table_rule(monkeypatch):
+    # at nu = 122 AUC reads the log-moment table's 48-node rule, built with
+    # the table, and builds no rule of its own
+    built = []
+    gauss_legendre = sp._gauss_legendre
+
+    def counted(n):
+        built.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(sp, "_gauss_legendre", counted)
+    x, w = ct._auc_nodes.__wrapped__(122.0)
+    assert built == [48] and x.size == w.size == 96
+
+
 def test_auc_of_repeated_values_matches_per_element_bit_for_bit():
     rng = np.random.default_rng(31)
     distinct = np.concatenate([[0.0, 1.0 + 1e-12, 50.0], rng.uniform(0.0, 50.0, 37)])

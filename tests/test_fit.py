@@ -442,6 +442,13 @@ def _oracle_case(name):
              9.284556566032878e-11, 1.3773527125260904e-09, 0.020718716681485616,
              6.755962814334807e-10, 1.4453963111929642e-07, 0.00014184756055355994]
         return np.array(p)[:, None], np.full(12, 122.0)
+    if name == "flat-zero":
+        # default, s = 17, M = 12, column 802, clamped: lam_hat reaches its
+        # lower clip, a flat stretch of slope 0, on the first trial
+        p = [0.8256803903145329, 0.8605043671185, 0.7310381276515376, 0.9546808468994298,
+             0.7395638110628451, 0.40707839328377016, 0.7462609590264376, 0.6196293812624032,
+             0.7257964665336345, 0.4456186221867129, 0.30790814988931603, 0.014260903057009333]
+        return np.array(p)[:, None], np.full(12, 122.0)
     # six p-values of 1e-100: the best grid point is the delta cap, at
     # nu = 122 only before clamping, at nu = 4 after clamping too
     p = np.concatenate([np.full(6, 1e-100), rng.uniform(size=6)])[:, None]
@@ -449,7 +456,7 @@ def _oracle_case(name):
 
 
 _ORACLE_CASES = ["default", "dense-M2", "null-nu4", "mixed-dofs", "two-maxima", "delta-cap",
-                 "delta-cap-clamped", "kink-mixed", "kink-default", "kink-dense"]
+                 "delta-cap-clamped", "kink-mixed", "kink-default", "kink-dense", "flat-zero"]
 
 
 @pytest.mark.parametrize("block", [1, 7, None, "default"])

@@ -5,7 +5,7 @@ import pytest
 
 from certmap import special as sp
 
-from oracles import log_moment_mpmath, nct_cdf_quad, t_cdf_quad, t_quantile_bisect
+from oracles import far_tail_exp_sinh, log_moment_mpmath, nct_cdf_quad, t_cdf_quad, t_quantile_bisect
 
 # frozen oracle values (mpmath, 40 digits; adaptive quadrature of the
 # defining integrals)
@@ -321,7 +321,7 @@ def _check_gauss_legendre_rule(n, x, w):
     assert np.abs(w - ref_w).max() <= 1e-14
 
 
-@pytest.mark.parametrize("n", [32, 48, 64, 100, 160, 200])
+@pytest.mark.parametrize("n", [10, 32, 48, 64, 100, 160, 200])
 def test_gauss_legendre_rule(n):
     _check_gauss_legendre_rule(n, *sp._gauss_legendre(n))
 
@@ -459,3 +459,36 @@ def test_nct_t_logratio_broadcasts_delta():
         np.testing.assert_array_equal(grid[i], sp.nct_t_logratio(xs, 122.0, d))
     direct = sp.nct_t_logratio(xs[None, :], 10.0, deltas[:, None])
     np.testing.assert_array_equal(direct[1], sp.nct_t_logratio(xs, 10.0, 1.5))
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0, 30.0, 40.0, 122.0, 1000.0])
+def test_far_tail_matches_exp_sinh_rule(nu):
+    # from nu = 40 on the 58-node composite rule keeps the small tail within
+    # 1e-10 relative of the 111-node exp-sinh rule (normal results; a
+    # subnormal mass carries fewer digits); below, that rule stays, bit for bit
+    rng = np.random.default_rng(7)
+    x, delta = rng.uniform(-10.0, 60.0, 2000), rng.uniform(0.0, 50.0, 2000)
+    got, got_up = sp._far_tail(x, delta, nu)
+    want, want_up = far_tail_exp_sinh(x, delta, nu)
+    np.testing.assert_array_equal(got_up, want_up)
+    if nu < sp._NU_RUNG:
+        np.testing.assert_array_equal(got, want)
+    else:
+        normal = want >= np.finfo(np.float64).tiny
+        assert normal.sum() > 1800
+        assert (np.abs(got - want)[normal] <= 1e-10 * want[normal]).all()
+
+
+def test_nct_tails_node_count(monkeypatch):
+    # at nu = 122 each element's tail takes at most 60 nodes
+    shapes = []
+    logratio_at = sp._logratio_at
+
+    def counted(mu, delta, nu):
+        shapes.append(np.shape(mu))
+        return logratio_at(mu, delta, nu)
+
+    monkeypatch.setattr(sp, "_logratio_at", counted)
+    sp.nct_tails(np.linspace(-5.0, 10.0, 700), 122.0, 3.0)
+    assert [s[0] for s in shapes] == [512, 188]
+    assert all(s[1] <= 60 for s in shapes)
