@@ -36,10 +36,12 @@ pair, and the lam solve steps only the rows still moving. The profile
 value costs one log per element (see _lam_hat); the reported
 log-likelihood is the model's log mixture at the final (lam, delta).
 
-Each voxel's p-values are sorted within their dof group before any sum, so
-a fit is invariant to the order of the replications, and no row's
-arithmetic depends on the other rows: a voxel fits the same, bit for bit,
-whatever else is in the volume or its grid block.
+The input is a ReplicationSet (fit_volume) or a PValueVector (fit_voxel),
+whose p-values are clamped by construction and fitted as given. Each
+voxel's p-values are sorted within their dof group before any sum, so a
+fit is invariant to the order of the replications, and no row's arithmetic
+depends on the other rows: a voxel fits the same, bit for bit, whatever
+else is in the volume or its grid block.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
-from .model import PValueVector, _log_mixture, clamp_pvalues
+from . import special, volume
+from .model import PValueVector, _log_mixture
 
 __all__ = [
     "VoxelFit",
@@ -143,12 +145,17 @@ def _quantile_groups(pvalues, dofs):
     return groups
 
 
-def _log_ratios(groups, delta):
+def _log_ratios(groups, delta, slopes=False):
     """log R_j(delta) for every (row, replication), delta one per row; equal
-    bit for bit to special.nct_t_logratio at the group's quantiles."""
+    bit for bit to special.nct_t_logratio at the group's quantiles. With
+    slopes, also d log R_j / d delta = a_j d log R_j / dmu - delta at
+    mu = delta a_j, from the same table pass."""
     d = delta[:, None]
-    parts = [special._logratio_at(d * a, d, nu) for a, nu in groups]
-    return parts[0] if len(parts) == 1 else np.hstack(parts)
+    parts = [special._logratio_at(d * a, d, nu, slopes) for a, nu in groups]
+    if not slopes:
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+    parts = [(y, a * g - d) for (y, g), (a, _) in zip(parts, groups)]
+    return parts[0] if len(parts) == 1 else tuple(np.hstack(p) for p in zip(*parts))
 
 
 def _q_r(logr):
@@ -220,28 +227,6 @@ def _lam_hat(logr, lam, dlogr=None):
     return lam, value, slope
 
 
-def _log_ratios_and_slopes(groups, delta):
-    """(log R_j, d log R_j / d delta) for every (row, replication), delta one
-    per row, from one table pass: log R_j as _log_ratios gives it, and its
-    slope a_j (mu + (log M)'(mu)) - delta at mu = delta a_j."""
-    d = delta[:, None]
-    ys, gs = [], []
-    for a, nu in groups:
-        mu = d * a
-        tab = special.get_moment_table(nu)
-        logm, slope = tab.with_slope(mu.ravel()).reshape((2,) + mu.shape)
-        ys.append(0.5 * (mu * mu - d * d) + logm - tab.at_zero)
-        gs.append(a * (mu + slope) - d)
-    return (ys[0], gs[0]) if len(groups) == 1 else (np.hstack(ys), np.hstack(gs))
-
-
-def _evaluate(groups, u, lam0):
-    """(lam_hat, profile value, its slope in delta) at delta = 1 + u, one u
-    per row; the lam search starts from lam0 (see _lam_hat)."""
-    logr, dlogr = _log_ratios_and_slopes(groups, 1.0 + u)
-    return _lam_hat(logr, lam0, dlogr)
-
-
 def _interval_bounds(y, g, delta):
     """(bound, dead) over each interval between consecutive knots, from
     every concave log R_j's values y and slopes g at the knots delta,
@@ -290,7 +275,7 @@ def _grid(groups, n):
         block = [(a[s:s + b], nu) for a, nu in groups]
         knots = [(np.tile(a, (nk, 1)), nu) for a, nu in block]
         delta = 1.0 + np.exp(np.repeat(knot_v, b))
-        logr, slope = _log_ratios_and_slopes(knots, delta)
+        logr, slope = _log_ratios(knots, delta, slopes=True)
         bound, dead = _interval_bounds(logr.reshape(nk, b, m), slope.reshape(nk, b, m), delta[::b])
         live = ~dead
         # the knots' and the live intervals' lam solves share one call
@@ -344,7 +329,8 @@ def _refine(groups, best_k, best_f, best_lam, f_side):
     b = np.exp(_V_GRID[np.minimum(best_k + 1, _V_GRID.size - 1)])
     fbest = best_f.copy()
     for it in range(_REFINE_EVALS):
-        lx, fx, sx = _evaluate(sub, x, best_lam[live])
+        logr, dlogr = _log_ratios(sub, 1.0 + x, slopes=True)
+        lx, fx, sx = _lam_hat(logr, best_lam[live], dlogr)
         rows += live.size
         better = fx > fbest  # a point replaces the best only if strictly better
         u[live[better]], best_lam[live[better]], fbest[better] = x[better], lx[better], fx[better]
@@ -408,12 +394,14 @@ def fit_voxel(pvals):
 
 
 def fit_volume(data):
-    """Maximum-likelihood (lam, delta) of every masked voxel in one array
-    pass. Output is a pure function of each voxel's p-values and dofs."""
+    """Maximum-likelihood (lam, delta) of every masked voxel of a
+    ReplicationSet in one array pass, a pure function of each voxel's
+    p-values and dofs; the set's p-values are clamped by construction."""
+    if not isinstance(data, volume.ReplicationSet):
+        raise TypeError("data must be a ReplicationSet")
     if data.n_masked == 0:
         raise ValueError("mask is empty")
-    pvalues, _ = clamp_pvalues(data.pvalues)
-    lam, delta, loglik, null, rows = _fit(pvalues, np.asarray(data.dofs, dtype=np.float64))
+    lam, delta, loglik, null, rows = _fit(data.pvalues, data.dofs)
     return VolumeFit(
         dims=data.dims,
         mask=data.mask.copy(),

@@ -416,10 +416,16 @@ def nct_t_logratio(x, nu, delta):
     return float(out) if out.ndim == 0 else out
 
 
-def _logratio_at(mu, delta, nu):
-    """nct_t_logratio through mu = delta x / sqrt(nu + x^2)."""
+def _logratio_at(mu, delta, nu, slope=False):
+    """nct_t_logratio through mu = delta x / sqrt(nu + x^2); with slope, also
+    d/dmu = mu + (log M)'(mu) at an array mu, from the same table pass."""
     tab = get_moment_table(nu)
-    return 0.5 * (mu * mu - delta * delta) + tab(mu) - tab.at_zero
+    if slope:
+        logm, dlogm = tab.with_slope(mu.ravel()).reshape((2,) + mu.shape)
+    else:
+        logm = tab(mu)
+    logr = 0.5 * (mu * mu - delta * delta) + logm - tab.at_zero
+    return (logr, mu + dlogm) if slope else logr
 
 
 def nct_cdf(x, nu, delta):

@@ -246,6 +246,15 @@ def test_fit_volume_empty_mask_rejected():
         ft.fit_volume(data)
 
 
+def test_fit_volume_takes_only_a_replication_set():
+    # its p-values are clamped by construction, so the fit does not clamp
+    # again; a bare array or a container raises
+    data = _small_volume(n=3)
+    for bad in (data.pvalues, data.to_container()):
+        with pytest.raises(TypeError, match="ReplicationSet"):
+            ft.fit_volume(bad)
+
+
 def test_fit_volume_voxel_accessor():
     data = _small_volume(n=3)
     fits = ft.fit_volume(data)
@@ -266,7 +275,8 @@ def test_log_ratios_match_nct_t_logratio_bit_for_bit():
             want.append(sp.nct_t_logratio(x, nu, delta[:, None]))
         np.testing.assert_array_equal(ft._log_ratios(groups, delta), np.hstack(want))
         # the grid's knots and the refinement read log R_j with its slope
-        np.testing.assert_array_equal(ft._log_ratios_and_slopes(groups, delta)[0], np.hstack(want))
+        np.testing.assert_array_equal(ft._log_ratios(groups, delta, slopes=True)[0],
+                                      np.hstack(want))
 
 
 def test_profile_slope_matches_central_differences():
@@ -278,11 +288,16 @@ def test_profile_slope_matches_central_differences():
                          rng.uniform(0.5, 1.0, (8, 4))])
     groups = ft._quantile_groups(pvalues, np.full(8, 122.0))
     u = np.exp(rng.uniform(np.log(0.05), np.log(ft.DELTA_CAP - 2.0), pvalues.shape[1]))
-    lam, f, slope = ft._evaluate(groups, u, np.full(u.size, 0.5))
+
+    def evaluate(u, lam0):
+        logr, dlogr = ft._log_ratios(groups, 1.0 + u, slopes=True)
+        return ft._lam_hat(logr, lam0, dlogr)
+
+    lam, f, slope = evaluate(u, np.full(u.size, 0.5))
     assert (lam == 1.0 - ft._LAM_EPS).any() and (lam == ft._LAM_EPS).any()
     assert (slope[lam == ft._LAM_EPS] == 0.0).all()
     h = 1e-5 * (1.0 + u)
-    up, down = (ft._evaluate(groups, u + d, lam)[1] for d in (h, -h))
+    up, down = (evaluate(u + d, lam)[1] for d in (h, -h))
     np.testing.assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-6)
 
 
@@ -364,21 +379,19 @@ def _replication_set(pvalues, dofs):
 def test_fit_volume_profile_evaluations(monkeypatch):
     # every a_j <= 0 for p-values in [0.5, 1), so every R_j < 1 at any
     # delta: the bounds prove the voxel null, so no grid row past the knots
-    # reaches the lam solve and no refinement row reaches _evaluate, and
-    # the fit is the delta floor with lam_hat at its clip
+    # reaches the lam solve and no refinement row reaches it with slopes,
+    # and the fit is the delta floor with lam_hat at its clip
     solved, evaluated = [], []
-    lam_hat, evaluate = ft._lam_hat, ft._evaluate
+    lam_hat = ft._lam_hat
 
     def lam_hat_rows(logr, lam, dlogr=None):
+        # only the refinement asks for the profile's slope
         solved.append(len(logr))
+        if dlogr is not None:
+            evaluated.append(len(logr))
         return lam_hat(logr, lam, dlogr)
 
-    def evaluate_rows(groups, u, lam0):
-        evaluated.append(u.size)
-        return evaluate(groups, u, lam0)
-
     monkeypatch.setattr(ft, "_lam_hat", lam_hat_rows)
-    monkeypatch.setattr(ft, "_evaluate", evaluate_rows)
     pvalues = np.random.default_rng(53).uniform(0.5, 1.0, (12, 5))
     fits = ft.fit_volume(_replication_set(pvalues, np.full(12, 122.0)))
     assert fits.null_proved.all()
@@ -522,7 +535,7 @@ def _bound_holds(a, nu, swap=False):
     swap gives each end of an interval the other end's slope."""
     groups = [(a[None, :], nu)]
     knot_delta = 1.0 + np.exp(ft._V_GRID[ft._KNOTS])
-    y, g = ft._log_ratios_and_slopes(groups, knot_delta)
+    y, g = ft._log_ratios(groups, knot_delta, slopes=True)
     for i in range(knot_delta.size - 1):
         ends = slice(i, i + 2)
         bound, dead = ft._interval_bounds(y[ends], g[ends][::-1] if swap else g[ends],
