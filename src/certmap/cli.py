@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, certainty, simulate, thresholding, volume
 from .fit import VolumeFit, fit_volume
-from .model import _check_delta, _check_lam, clamp_pvalues
+from .model import _check_delta, _check_lam, _check_pvalues
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -69,7 +69,7 @@ def _check_decisions(values):
 
 
 # the range check of each value kind read as an input
-_VALUE_CHECKS = {"lambda": _check_lam, "delta": _check_delta, "pvalue": clamp_pvalues,
+_VALUE_CHECKS = {"lambda": _check_lam, "delta": _check_delta, "pvalue": _check_pvalues,
                  "tstat": volume._check_tstats, "decision": _check_decisions}
 
 

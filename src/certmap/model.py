@@ -52,6 +52,13 @@ def _check_delta(delta):
         raise ValueError(f"delta must be finite and >= 0, got {float(delta[bad].flat[0])!r}")
 
 
+def _check_pvalues(values):
+    bad = ~(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(
+            f"p-values must be finite and lie in [0, 1], got {float(values[bad].flat[0])!r}")
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Mixture weight lam in [0, 1] and non-centrality delta >= 0.
@@ -115,8 +122,7 @@ def clamp_pvalues(values, axis=None):
     subset keeps the count. count is taken along axis (None: all values).
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all() or (values < 0.0).any() or (values > 1.0).any():
-        raise ValueError("p-values must be finite and lie in [0, 1]")
+    _check_pvalues(values)
     out = np.clip(values, CLAMP_LO, CLAMP_HI)
     return out, np.count_nonzero((out == CLAMP_LO) | (out == CLAMP_HI), axis=axis)
 

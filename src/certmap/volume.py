@@ -195,7 +195,6 @@ def read_container(path):
     if idx < 0:
         raise ContainerError("missing payload separator", offset=len(raw))
     header_text = raw[:idx].decode("utf-8", errors="replace")
-    payload = raw[idx + len(sep):]
     payload_offset = idx + len(sep)
 
     lines = header_text.splitlines()
@@ -223,13 +222,24 @@ def read_container(path):
     if len(dims) != 3 or min(dims) <= 0:
         raise ContainerError(f"dims must be 3 positive integers, got {fields['dims']!r}")
     m = _parse("m", fields["m"], int)
+    if m < 1:
+        raise ContainerError(f"need at least one replication, got m={m}")
     dofs = np.array(_parse("dofs", fields["dofs"], lambda t: [float(v) for v in t.split()]))
+    # before the payload's reshape, which an m beyond any array size fails unnamed
+    if dofs.size != m:
+        raise ContainerError(f"dofs length {dofs.size} does not match m={m}")
     mask_parts = fields["mask"].split()
     if not mask_parts or mask_parts[0] != "rle":
         raise ContainerError(f"unsupported mask encoding {fields['mask']!r}")
     nx, ny, nz = dims
+    if nx * ny * nz > np.iinfo(np.intp).max:
+        raise ContainerError(f"a {nx} x {ny} x {nz} grid has too many cells to index")
     runs = _parse("mask", " ".join(mask_parts[1:]), _ints)
-    mask = _rle_to_mask(runs, nx * ny * nz).reshape(nz, ny, nx)
+    try:
+        mask = _rle_to_mask(runs, nx * ny * nz).reshape(nz, ny, nx)
+    except MemoryError:
+        raise ContainerError(f"a {nx} x {ny} x {nz} grid is too large for its mask to fit in "
+                             "memory") from None
 
     n_masked = int(np.count_nonzero(mask))
     expected = _parse("payload-bytes", fields["payload-bytes"], int)
@@ -238,9 +248,10 @@ def read_container(path):
             f"declared payload-bytes {expected} does not match m={m} x "
             f"n_masked={n_masked} float64 values"
         )
-    if len(payload) != expected:
-        raise TruncatedPayloadError(expected, len(payload), offset=payload_offset + len(payload))
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(m, n_masked)
+    found = len(raw) - payload_offset
+    if found != expected:
+        raise TruncatedPayloadError(expected, found, offset=len(raw))
+    values = np.frombuffer(raw, "<f8", offset=payload_offset).astype(np.float64).reshape(m, n_masked)
     return VolumeContainer(kind=fields["kind"], dims=dims, mask=mask, dofs=dofs, values=values)
 
 

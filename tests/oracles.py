@@ -87,7 +87,10 @@ def nct_tails_mpmath(x, nu, delta, dps=20):
     E_S[Phi(+-(x S - delta))]; each is integrated on its own over u = log S,
     with breakpoints around the peak of its integrand and around the step of
     Phi at x S = delta, so both keep relative accuracy however small they
-    are.
+    are. The peak is about w = 1 / sqrt(2 nu) wide in u. It is found on an
+    integer grid, then on grids a tenth as fine until their step is within
+    w; the breakpoints sit at multiples of h = min(1, 50 w), so at any nu
+    they resolve the peak as the unit steps do at nu = 1000.
     """
     import mpmath as mp
 
@@ -95,19 +98,27 @@ def nct_tails_mpmath(x, nu, delta, dps=20):
         x, nu, d = mp.mpf(x), mp.mpf(nu), mp.mpf(delta)
         c = mp.log(2) + (nu / 2) * mp.log(nu / 2) - mp.loggamma(nu / 2)
         u_step = mp.log((abs(d) + 1) / abs(x)) if x != 0 else mp.mpf(0)
+        w = 1 / mp.sqrt(2 * nu)
+        h = min(mp.mpf(1), 50 * w)
 
         def tail(sign):
             def log_f(u):
                 r = mp.exp(u)
                 return mp.log(mp.ncdf(sign * (x * r - d))) + c + nu * u - nu * r * r / 2
 
-            grid = [mp.mpf(k) for k in range(-40, 11)]
-            vals = [log_f(u) for u in grid]
-            top = max(vals)
-            u0 = grid[vals.index(top)]
+            grid, step = [mp.mpf(k) for k in range(-40, 11)], mp.mpf(1)
+            while True:
+                vals = [log_f(u) for u in grid]
+                top = max(vals)
+                u0 = grid[vals.index(top)]
+                if step <= w:
+                    break
+                step /= 10
+                grid = [u0 + k * step for k in range(-10, 11)]
             lo, hi = u0 - 60, u0 + 8
-            pts = {u0 + k for k in (-60, -24, -8, -3, -1, 0, 1, 3, 8)}
-            pts |= {u_step + k for k in (-2, -0.5, -0.1, 0, 0.1, 0.5, 2) if lo < u_step + k < hi}
+            pts = {lo, hi} | {u0 + h * k for k in (-60, -24, -8, -3, -1, 0, 1, 3, 8)}
+            pts |= {u_step + h * k for k in (-2, -0.5, -0.1, 0, 0.1, 0.5, 2)
+                    if lo < u_step + h * k < hi}
             return mp.quad(lambda u: mp.exp(log_f(u) - top), sorted(pts),
                            method="gauss-legendre") * mp.exp(top)
 

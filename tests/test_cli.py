@@ -442,6 +442,45 @@ def test_zero_replications_rejected(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.vol"]
 
 
+def _empty_header(dims, m, runs):
+    """A pvalue container header with one dof and no payload."""
+    return (f"certmap-volume 1\nkind: pvalue\ndims: {dims}\nm: {m}\ndofs: 122.0\n"
+            f"mask: rle {runs}\nendian: little\npayload-bytes: 0\npayload:\n")
+
+
+@pytest.mark.parametrize("dims, m, runs, reason", [
+    ("4 1 1", -1, "4", "need at least one replication, got m=-1"),
+    ("4294967296 4294967296 1", 1, str(2 ** 64),
+     "a 4294967296 x 4294967296 x 1 grid has too many cells to index"),
+    ("4 1 1", 2 ** 62, "4", f"dofs length 1 does not match m={2 ** 62}"),
+], ids=["m-negative", "grid-2^64-cells", "m-beyond-any-array"])
+def test_bad_header_counts_name_the_input(tmp_path, capsys, dims, m, runs, reason):
+    # these used to exit 2 with numpy's reshape or array-size message
+    # naming no file, or, for the 2^64-cell mask, 3 as a numerical failure
+    path = tmp_path / "in.vol"
+    path.write_text(_empty_header(dims, m, runs))
+    capsys.readouterr()
+    assert main(["fit", "--input", str(path), "--out", str(tmp_path / "f")]) == 2
+    assert f"{path}: {reason}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vol"]
+
+
+def test_mask_out_of_memory_names_the_input(tmp_path, capsys, monkeypatch):
+    # a mask too large for memory (a 2^20 x 2^20 grid: 1 TiB) used to end
+    # in an uncaught MemoryError. np.repeat, which builds the mask, raises
+    # it here on a 4-voxel grid, so no large allocation is ever made
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    path = tmp_path / "in.vol"
+    path.write_text(_empty_header("4 1 1", 1, "4"))
+    monkeypatch.setattr(np, "repeat", no_memory)
+    capsys.readouterr()
+    assert main(["fit", "--input", str(path), "--out", str(tmp_path / "f")]) == 2
+    assert (f"{path}: a 4 x 1 x 1 grid is too large for its mask to fit in memory"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command, option, kind", [("fit", "--input", "pvalue"),
                                              ("convert", "--tstats", "tstat")])
 @pytest.mark.parametrize("dof", ["0", "-3", "nan", "inf"])
@@ -492,9 +531,12 @@ _P_REASON = "p-values must be finite and lie in [0, 1]"
     *[("overlap", "decision", value, f"decisions must be 0 or 1, got {value!r}")
       for value in (np.nan, 0.7, 2.0, -1.0)],
     ("fit", "pvalue", np.nan, _P_REASON),
+    # the check used to name no value
+    ("fit", "pvalue", 1.5, f"{_P_REASON}, got 1.5"),
     ("convert", "tstat", np.inf, "t statistics must be finite, got inf"),
 ], ids=[*(f"composite-{t}-{v}" for t in ("frontier", "fdr") for v in ("nan", "5", "-1")),
-        *(f"decision-{v}" for v in ("nan", "0.7", "2", "-1")), "pvalue-nan", "tstat-inf"])
+        *(f"decision-{v}" for v in ("nan", "0.7", "2", "-1")), "pvalue-nan", "pvalue-1.5",
+        "tstat-inf"])
 def test_out_of_range_values_name_the_input(fixture_volumes, tmp_path, capsys, command, kind,
                                             value, reason):
     # a composite or decision map out of range used to exit 0, and a

@@ -128,7 +128,17 @@ def test_power_against_quadrature_oracle():
     assert got == pytest.approx(want, abs=1e-8)
 
 
-@pytest.mark.parametrize("nu", [1.0, 4.0, 122.0, 1000.0])
+def test_tail_oracle_resolves_a_narrow_peak():
+    # at nu = 1e5 the oracle's integrand is about 2.2e-3 wide in log S; from
+    # an integer-grid peak with unit-step breakpoints the oracle gave a
+    # lower tail of 1.2413e-136 and an upper one of 0.4994. The reference is
+    # a 30-digit integral with breakpoints every half width over +-60 widths
+    lower, upper = nct_tails_mpmath(22.017, 1e5, 46.894)
+    assert lower == pytest.approx(1.3954317187823455e-136, rel=1e-12)
+    assert upper == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0, 122.0, 1000.0, 1e5])
 def test_power_and_complement_match_mpmath(nu):
     # power and 1 - power are each a tail mass taken directly, so both keep
     # relative accuracy however small they are
