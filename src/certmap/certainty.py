@@ -20,7 +20,7 @@ All three read one power evaluation at tau, whichever rule chose tau: the
 frontier optimum or an external cutoff such as the realized FDR cutoff.
 Every function takes one voxel (floats, a MixtureParams of floats) or many
 (arrays, a MixtureParams of arrays) and runs the same array code either way;
-certainty_volume makes one call per stage over the whole mask.
+certainty_volume calls them on fixed slices of voxels.
 
 Conditioning: rho_plus reads power(tau) and rho_minus reads 1 - power(tau),
 and both are tail masses of the non-central t taken from the side on which
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .model import MixtureParams, _power_tails
+from .model import MixtureParams, _power_tails, _voxel_slices
 
 __all__ = [
     "FLAG_OK",
@@ -284,7 +284,8 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     Externally supplied thresholds outside (0, 1) flag the voxel instead of
     failing the volume. An FDR cutoff with no rejections is 0.0: every voxel
     then carries FLAG_BAD_TAU, tau 0 and NaN rho_plus and rho_minus, and
-    keeps its AUC. Each stage is one array call over the mask.
+    keeps its AUC. tau* and the power pair run over fixed slices of voxels
+    (model._voxel_slices), so their working set does not grow with the mask.
     """
     n = fits.n_masked
     nu = float(nu)
@@ -296,7 +297,10 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     if from_frontier:
         if tau_source != "frontier":
             raise ValueError(f"unknown tau source {tau_source!r}")
-        out_tau, degenerate = _optimal_threshold_impl(params, nu)
+        out_tau, degenerate = np.empty(n), np.empty(n, dtype=bool)
+        for s in _voxel_slices(n):
+            out_tau[s], degenerate[s] = _optimal_threshold_impl(
+                MixtureParams(params.lam[s], params.delta[s]), nu)
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
@@ -307,10 +311,10 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     flags[bad] |= FLAG_BAD_TAU
 
     out_rp, out_rm, out_fv = (np.full(n, math.nan) for _ in range(3))
-    good = ~bad
-    if good.any():
-        out_rp[good], out_rm[good], out_fv[good] = _at_tau(
-            out_tau[good], params.lam[good], params.delta[good], nu)
+    good = np.flatnonzero(~bad)
+    for s in _voxel_slices(good.size):
+        k = good[s]
+        out_rp[k], out_rm[k], out_fv[k] = _at_tau(out_tau[k], params.lam[k], params.delta[k], nu)
 
     return CertaintyMaps(
         dims=fits.dims,

@@ -41,7 +41,7 @@ whose p-values are clamped by construction and fitted as given. Each
 voxel's p-values are sorted within their dof group before any sum, so a
 fit is invariant to the order of the replications, and no row's arithmetic
 depends on the other rows: a voxel fits the same, bit for bit, whatever
-else is in the volume or its grid block.
+else is in the volume, its voxel slice or its grid block.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special, volume
-from .model import PValueVector, _log_mixture
+from .model import PValueVector, _log_mixture, _voxel_slices
 
 __all__ = [
     "VoxelFit",
@@ -359,21 +359,28 @@ def _refine(groups, best_k, best_f, best_lam, f_side):
 
 
 def _fit(pvalues, dofs):
-    """Profile-likelihood fit of an (M, N) p-value block.
+    """Profile-likelihood fit of an (M, N) p-value block, one voxel slice
+    (model._voxel_slices) at a time.
 
     Returns (lam, delta, loglik, null) arrays over the N voxels, null
     marking the voxels the grid proved null (see _grid), which keep grid
     point 0, the delta floor, with lam_hat at its lower clip; then the
     number of rows the refinement evaluated.
     """
-    groups = _quantile_groups(pvalues, dofs)
-    best_k, best_f, lam, f_side, null = _grid(groups, pvalues.shape[1])
-    u = np.exp(_V_GRID[best_k])
-    live = np.flatnonzero(~null)
-    u[live], lam[live], rows = _refine([(a[live], nu) for a, nu in groups], best_k[live],
-                                       best_f[live], lam[live], f_side[:, live])
-    delta = 1.0 + u
-    loglik = _log_mixture(lam[:, None], _log_ratios(groups, delta)).sum(axis=1)
+    n = pvalues.shape[1]
+    lam, delta, loglik, null = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    rows = 0
+    for s in _voxel_slices(n):
+        block = pvalues[:, s]
+        groups = _quantile_groups(block, dofs)
+        best_k, best_f, lam[s], f_side, null[s] = _grid(groups, block.shape[1])
+        u = np.exp(_V_GRID[best_k])
+        live = np.flatnonzero(~null[s])
+        u[live], lam[s][live], evaluated = _refine(
+            [(a[live], nu) for a, nu in groups], best_k[live], best_f[live], lam[s][live],
+            f_side[:, live])
+        delta[s], rows = 1.0 + u, rows + evaluated
+        loglik[s] = _log_mixture(lam[s, None], _log_ratios(groups, delta[s])).sum(axis=1)
     return lam, delta, loglik, null, rows
 
 
@@ -395,8 +402,9 @@ def fit_voxel(pvals):
 
 def fit_volume(data):
     """Maximum-likelihood (lam, delta) of every masked voxel of a
-    ReplicationSet in one array pass, a pure function of each voxel's
-    p-values and dofs; the set's p-values are clamped by construction."""
+    ReplicationSet, in array passes over fixed slices of voxels, so that the
+    working set does not grow with the mask; a pure function of each voxel's
+    p-values and dofs. The set's p-values are clamped by construction."""
     if not isinstance(data, volume.ReplicationSet):
         raise TypeError("data must be a ReplicationSet")
     if data.n_masked == 0:

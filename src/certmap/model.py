@@ -38,6 +38,16 @@ __all__ = [
 # inside the open interval where the density ratio is finite
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
+# voxels per array pass: the fit, the certainty maps and the t-to-p
+# conversion run over slices of this many voxels, so a command's temporaries
+# are set by the slice, not by the mask. Each voxel's arithmetic depends on
+# that voxel alone, so no output bit depends on the slice
+_VOXEL_SLICE = 8192
+
+
+def _voxel_slices(n):
+    """Consecutive slices of at most _VOXEL_SLICE of n voxels."""
+    return [slice(s, s + _VOXEL_SLICE) for s in range(0, n, _VOXEL_SLICE)]
 
 
 def _check_lam(lam):

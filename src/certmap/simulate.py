@@ -273,9 +273,10 @@ def make_composite(data):
 _HELLINGER_NODES = 48
 # panel edges on each side of 0: 0, 1, 2, 4, ..., 2^40
 _HELLINGER_GRID = np.concatenate([[0.0], 2.0 ** np.arange(0, 41)])
-# voxel pairs per block: a layout has at most 82 panels of 48 nodes, so
-# each node array of a block stays under 5 MB
-_HELLINGER_BLOCK = 128
+# doubles per node array of a block of pairs: a block takes as many pairs
+# as fit this budget at its layout's node count, at least one, so each
+# temporary stays within 128 KiB
+_HELLINGER_NODE_BUDGET = 2 ** 14
 
 
 def hellinger_sq(params_a, params_b, nu):
@@ -292,8 +293,10 @@ def hellinger_sq(params_a, params_b, nu):
     side, the integrand is formed in log space as
     psi_nu exp(2 max(h_a, h_b)) expm1(-|h_a - h_b|)^2: it stays finite where
     the density ratio f overflows, and swapping a and b changes no bit.
-    Each pair is summed along its own row, so its value does not depend on
-    the other pairs of the call. Absolute accuracy is well inside 1e-6.
+    Pairs are scored in blocks sized so that each node array holds at most
+    _HELLINGER_NODE_BUDGET doubles. Each pair is summed along its own row, so
+    its value does not depend on the other pairs of the call or on the
+    block. Absolute accuracy is well inside 1e-6.
     """
     nu = float(nu)
     pairs = [np.asarray(v, dtype=np.float64)
@@ -307,8 +310,9 @@ def hellinger_sq(params_a, params_b, nu):
     for d in np.unique(d_max[differ]):
         x, log_w = _hellinger_layout(nu, float(d))
         group = np.flatnonzero(differ & (d_max == d))
-        for a in range(0, group.size, _HELLINGER_BLOCK):
-            k = group[a:a + _HELLINGER_BLOCK]
+        block = max(1, _HELLINGER_NODE_BUDGET // x.size)
+        for a in range(0, group.size, block):
+            k = group[a:a + block]
             ha = _half_log_f(x, nu, lam_a[k], delta_a[k])
             hb = _half_log_f(x, nu, lam_b[k], delta_b[k])
             terms = np.exp(log_w + 2.0 * np.maximum(ha, hb)) * np.expm1(-np.abs(ha - hb)) ** 2

@@ -21,13 +21,14 @@ values starting with False, in the same x-fastest order as the payload.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import special
-from .model import clamp_pvalues
+from .model import _voxel_slices, clamp_pvalues
 
 __all__ = [
     "VALUE_KINDS",
@@ -187,15 +188,37 @@ def _ints(text):
     return [int(v) for v in text.split()]
 
 
+_SEPARATOR = b"payload:\n"
+
+
+def _aligned_payload(raw, offset, count):
+    """A float64 view of the count values at byte offset of the bytearray
+    raw, once they are moved in place up to the next 8-byte boundary, into
+    the 7 spare bytes at raw's end. numpy sums an unaligned array in other
+    chunks than an aligned one, so the values' sums would otherwise depend
+    on the header's length."""
+    address = np.frombuffer(raw, np.uint8).__array_interface__["data"][0]
+    start = offset + -(address + offset) % 8
+    with memoryview(raw) as view:
+        view[start:start + 8 * count] = view[offset:offset + 8 * count]  # a memmove
+    return np.frombuffer(raw, "<f8", count=count, offset=start)
+
+
 def read_container(path):
+    """The container at path. The file is read once, into a buffer whose
+    payload the values view (writable, and not copied on a little-endian
+    host), so ingest holds one payload-sized array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    sep = b"payload:\n"
-    idx = raw.find(sep)
+        raw = bytearray(os.fstat(fh.fileno()).st_size + 7)
+        size = fh.readinto(raw)
+        if size == len(raw):  # the file grew, or it has no size (a pipe)
+            raw += fh.read() + bytes(7)
+            size = len(raw) - 7
+    idx = raw.find(_SEPARATOR, 0, size)
     if idx < 0:
-        raise ContainerError("missing payload separator", offset=len(raw))
+        raise ContainerError("missing payload separator", offset=size)
     header_text = raw[:idx].decode("utf-8", errors="replace")
-    payload_offset = idx + len(sep)
+    payload_offset = idx + len(_SEPARATOR)
 
     lines = header_text.splitlines()
     if not lines:
@@ -248,10 +271,14 @@ def read_container(path):
             f"declared payload-bytes {expected} does not match m={m} x "
             f"n_masked={n_masked} float64 values"
         )
-    found = len(raw) - payload_offset
-    if found != expected:
-        raise TruncatedPayloadError(expected, found, offset=len(raw))
-    values = np.frombuffer(raw, "<f8", offset=payload_offset).astype(np.float64).reshape(m, n_masked)
+    found = size - payload_offset
+    if found > expected:
+        raise ContainerError(f"{found - expected} trailing bytes after the declared "
+                             f"payload-bytes {expected}", offset=payload_offset + expected)
+    if found < expected:
+        raise TruncatedPayloadError(expected, found, offset=size)
+    values = _aligned_payload(raw, payload_offset, m * n_masked)
+    values = values.astype(np.float64, copy=False).reshape(m, n_masked)
     return VolumeContainer(kind=fields["kind"], dims=dims, mask=mask, dofs=dofs, values=values)
 
 
@@ -325,11 +352,18 @@ def _check_tstats(tstats):
 def t_to_p(tstats, dof):
     """One-sided upper-tail p-values of t statistics: p = P(t_nu >= T).
 
-    Strictly decreasing in T. Non-finite statistics raise.
+    Strictly decreasing in T. Non-finite statistics raise. An array is
+    converted in fixed slices of voxels along its last axis
+    (model._voxel_slices), so the working set does not grow with the mask.
     """
     arr = np.asarray(tstats, dtype=np.float64)
     _check_tstats(arr)
-    return special.t_sf(arr, dof)
+    if arr.ndim == 0:
+        return special.t_sf(arr, dof)
+    out = np.empty(arr.shape)
+    for s in _voxel_slices(arr.shape[-1]):
+        out[..., s] = special.t_sf(arr[..., s], dof)
+    return out
 
 
 # bound on |x|, |y|, |z| and |rep|: larger values would wrap in the int64

@@ -385,6 +385,25 @@ def test_certainty_volume_mask_split_is_invisible(tau_source):
                 np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))
 
 
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("tau_source", ["frontier", "array"])
+def test_certainty_volume_bit_identical_under_any_voxel_slice(monkeypatch, tau_source, size):
+    # tau* and the power pair run slice by slice (model._voxel_slices); any
+    # slice size gives what one slice over the whole mask gives. The
+    # external taus hold bad entries, so the power pair's slices run over
+    # the good voxels only
+    _, _, fits = _maps_fixture(n=60)
+    if tau_source == "array":
+        tau_source = np.random.default_rng(4).uniform(0.0, 0.2, fits.n_masked)
+        tau_source[[3, 17, 40]] = 0.0, 1.0, np.nan
+    monkeypatch.setattr(md, "_VOXEL_SLICE", fits.n_masked)
+    whole = ct.certainty_volume(fits, 122.0, tau_source=tau_source)
+    monkeypatch.setattr(md, "_VOXEL_SLICE", size)
+    again = ct.certainty_volume(fits, 122.0, tau_source=tau_source)
+    for field in ("tau", "rho_plus", "rho_minus", "frontier_value", "auc", "flags"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(whole, field))
+
+
 def test_threshold_entry_points_agree_bit_for_bit():
     # optimal_threshold, certainty_volume and threshold_with_frontier read the
     # density ratio through one path, so their tau* agree to the last bit

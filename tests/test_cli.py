@@ -465,6 +465,22 @@ def test_bad_header_counts_name_the_input(tmp_path, capsys, dims, m, runs, reaso
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vol"]
 
 
+def test_payload_longer_than_declared_names_the_input(tmp_path, capsys):
+    # 24 payload bytes under a header declaring 16 used to be reported as a
+    # truncated payload
+    path = tmp_path / "in.vol"
+    vol.write_container(vol.VolumeContainer(
+        kind="pvalue", dims=(2, 1, 1), mask=np.ones((1, 1, 2), dtype=bool),
+        dofs=np.array([122.0]), values=np.array([[0.5, 0.25]])), path)
+    path.write_bytes(path.read_bytes() + np.array([0.125]).tobytes())
+    capsys.readouterr()
+    assert main(["fit", "--input", str(path), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: 8 trailing bytes after the declared payload-bytes 16" in err
+    assert "truncated" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vol"]
+
+
 def test_mask_out_of_memory_names_the_input(tmp_path, capsys, monkeypatch):
     # a mask too large for memory (a 2^20 x 2^20 grid: 1 TiB) used to end
     # in an uncaught MemoryError. np.repeat, which builds the mask, raises

@@ -1,5 +1,7 @@
 """Tests for the per-voxel and whole-volume ML fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +340,50 @@ def test_fit_volume_bit_identical_under_any_grid_block(monkeypatch, block):
     again = ft.fit_volume(data)
     for field in ("lam", "delta", "loglik"):
         np.testing.assert_array_equal(getattr(again, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("size", [1, 7, 100])
+@pytest.mark.parametrize("case", ["default", "mixed-dofs"])
+def test_fit_volume_bit_identical_under_any_voxel_slice(monkeypatch, case, size):
+    # the fit runs slice by slice (model._voxel_slices); any slice size
+    # gives what one slice over the whole mask gives, down to the proved
+    # nulls and the summed refinement rows
+    data = _small_volume(n=230, m=9, seed=29)
+    if case == "mixed-dofs":
+        data = ReplicationSet(dims=data.dims, mask=data.mask.copy(),
+                              dofs=[4.0, 10.0, 122.0] * 3, pvalues=data.pvalues)
+    monkeypatch.setattr(md, "_VOXEL_SLICE", data.n_masked)
+    whole = ft.fit_volume(data)
+    assert whole.null_proved.any() and not whole.null_proved.all()
+    monkeypatch.setattr(md, "_VOXEL_SLICE", size)
+    again = ft.fit_volume(data)
+    for field in ("lam", "delta", "loglik", "null_proved"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(whole, field))
+    assert again.refine_evaluations == whole.refine_evaluations
+
+
+def test_fit_working_set_does_not_grow_with_the_mask(monkeypatch):
+    # with the slice fixed, the fit's traced peak grows with N only by its
+    # outputs: lam, delta, loglik, the two flag arrays and the copies of the
+    # mask and the clamp counts, 35 bytes a voxel. The larger volume repeats
+    # the smaller one's voxels, so both see the same slices; a 12-plane
+    # quantile transform of the whole mask would add 96 bytes a voxel for
+    # each array it holds
+    monkeypatch.setattr(md, "_VOXEL_SLICE", 64)
+    small = _small_volume(n=1024, m=12, seed=31)
+    peaks = []
+    for copies in (1, 4):
+        n = copies * small.n_masked
+        data = ReplicationSet(dims=(n, 1, 1), mask=np.ones((1, 1, n), dtype=bool),
+                              dofs=small.dofs, pvalues=np.tile(small.pvalues, copies))
+        ft.fit_volume(data)  # the tables and rules are cached once
+        tracemalloc.start()
+        try:
+            ft.fit_volume(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 3 * small.n_masked * 40
 
 
 def test_fit_refinement_matches_bounded_search_oracle():

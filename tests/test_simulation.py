@@ -360,6 +360,42 @@ def test_hellinger_arrays_match_scalar_calls():
             assert got[i] == want
 
 
+def test_hellinger_bit_identical_in_one_pair_blocks(monkeypatch):
+    # blocks of pairs are sized from the layout's node count; a budget
+    # that leaves one pair per block moves no bit
+    rng = np.random.default_rng(31)
+    a = MixtureParams(rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 50.0, 40))
+    b = MixtureParams(rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 90.0, 40))
+    whole = {nu: sim.hellinger_sq(a, b, nu) for nu in (4.0, 122.0)}
+    monkeypatch.setattr(sim, "_HELLINGER_NODE_BUDGET", 1)
+    for nu, want in whole.items():
+        assert sim.hellinger_sq(a, b, nu).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [1.0, 122.0, 1000.0])
+@pytest.mark.parametrize("d_max", [50.0, 128.0])
+def test_hellinger_block_stays_within_its_node_budget(monkeypatch, nu, d_max):
+    # every node array of a block holds at most 2^14 doubles (128 KiB), and
+    # a block takes as many pairs as fit
+    x, _ = sim._hellinger_layout(nu, d_max)
+    shapes, inner = [], sim._half_log_f
+
+    def half_log_f(*args):
+        out = inner(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(sim, "_half_log_f", half_log_f)
+    rng = np.random.default_rng(32)
+    delta = rng.uniform(d_max / 2.0, d_max, 100)  # all on the one layout
+    delta[0] = d_max
+    sim.hellinger_sq(MixtureParams(rng.uniform(0.0, 1.0, 100), delta),
+                     MixtureParams(np.full(100, 0.5), np.full(100, 2.0)), nu)
+    assert {n for _, n in shapes} == {x.size}
+    assert max(p for p, _ in shapes) * x.size <= 2 ** 14
+    assert shapes[0][0] == max(1, 2 ** 14 // x.size)
+
+
 def test_score_fit_mask_split_is_invisible():
     # per-voxel distances do not depend on which other voxels share the
     # call, so any split of the mask gives the same voxels bit for bit

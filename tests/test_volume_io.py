@@ -1,9 +1,14 @@
 """Tests for the volume container format, conversions and CSV import."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from certmap import volume as vol
+from certmap import model as md
 from certmap import special as sp
 from certmap.model import PValueVector
 
@@ -61,6 +66,66 @@ def test_truncated_payload_reports_lengths(tmp_path):
     assert err.value.expected == 8 * c.m * c.n_masked
     assert err.value.actual == err.value.expected - 8
     assert "offset" in str(err.value)
+
+
+def test_payload_length_mismatch_names_its_direction(tmp_path):
+    # a short payload is truncated; a long one carries trailing bytes, named
+    # by their count and offset, and is not reported as truncated
+    c = _container(dims=(2, 1, 1), m=1)
+    path = tmp_path / "vol.bin"
+    vol.write_container(c, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(8))
+    with pytest.raises(vol.ContainerError) as err:
+        vol.read_container(path)
+    assert not isinstance(err.value, vol.TruncatedPayloadError)
+    assert "8 trailing bytes after the declared payload-bytes 16" in str(err.value)
+    assert err.value.offset == len(raw)
+    path.write_bytes(raw[:-8])
+    with pytest.raises(vol.TruncatedPayloadError, match="expected 16 bytes, found 8") as err:
+        vol.read_container(path)
+    assert err.value.offset == len(raw) - 8
+
+
+@pytest.mark.parametrize("kind_name", ["pvalue", "rho_plus", "tau"])
+def test_read_values_view_the_one_buffer_read(tmp_path, kind_name):
+    # the file is read once, into a buffer the values view without a copy,
+    # so reading traces one payload-sized allocation, not two. The header's
+    # length differs with the kind's name, yet the view is 8-byte aligned,
+    # so numpy sums it as it sums an owned array, and it can be written
+    c = _container(seed=9, dims=(100, 100, 1), m=3 if kind_name == "pvalue" else 1,
+                   kind=kind_name)
+    path = tmp_path / "vol.bin"
+    vol.write_container(c, path)
+    vol.read_container(path)
+    tracemalloc.start()
+    try:
+        r = vol.read_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * c.values.nbytes + 65536
+    assert r.values.flags.aligned and r.values.flags.writeable
+    assert r.values.sum(axis=1).tobytes() == c.values.sum(axis=1).tobytes()
+    r.values[0, 0] = 0.5
+    assert r.values[0, 0] == 0.5
+
+
+def test_read_container_from_a_pipe(tmp_path):
+    # a file without a size, as a named pipe, reads as the regular file does
+    c = _container(seed=4, dims=(5, 3, 2), m=2)
+    path, pipe = tmp_path / "vol.bin", tmp_path / "vol.fifo"
+    vol.write_container(c, path)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        r = vol.read_container(pipe)
+    finally:
+        writer.join(timeout=10.0)
+    assert not writer.is_alive()
+    assert r.values.tobytes() == c.values.tobytes()
+    np.testing.assert_array_equal(r.mask, c.mask)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -132,6 +197,18 @@ def test_t_to_p_monotone():
     assert np.all(np.diff(p) < 0)
     wide = vol.t_to_p(np.linspace(-30, 30, 121), 122)
     assert np.all(np.diff(wide) <= 0)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_t_to_p_bit_identical_under_any_voxel_slice(monkeypatch, size):
+    # t_to_p converts slice by slice along the voxel axis
+    # (model._voxel_slices), which moves no bit
+    t = np.random.default_rng(8).normal(1.0, 3.0, (3, 50))
+    monkeypatch.setattr(md, "_VOXEL_SLICE", t.shape[1])
+    whole = vol.t_to_p(t, 122.0)
+    monkeypatch.setattr(md, "_VOXEL_SLICE", size)
+    assert vol.t_to_p(t, 122.0).tobytes() == whole.tobytes()
+    assert vol.t_to_p(t[0], 122.0).tobytes() == whole[0].tobytes()
 
 
 def test_t_to_p_rejects_nonfinite():
