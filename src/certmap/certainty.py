@@ -196,7 +196,6 @@ def optimal_threshold(params, nu):
 # nu = 40 on the log-moment table's 48-node rule is within 9e-14 of 100 nodes
 _AUC_ORDER = 100
 _AUC_WMIN = -36.0  # integrate s (and 1 - s) down to e^-36
-_AUC_BLOCK = 256  # values of delta per nct_t_logratio call
 
 
 @functools.cache
@@ -227,10 +226,11 @@ def auc(delta, nu):
     flat, inverse = np.unique(deltas.ravel(), return_inverse=True)
     x, w = _auc_nodes(float(nu))
     out = np.empty(flat.size)
-    for a in range(0, flat.size, _AUC_BLOCK):
-        d = flat[a:a + _AUC_BLOCK, None]
+    block = max(1, special._NODE_BUDGET // x.size)
+    for a in range(0, flat.size, block):
+        d = flat[a:a + block, None]
         mass = np.sum(w * np.exp(special.nct_t_logratio(x, nu, d)), axis=1)
-        out[a:a + _AUC_BLOCK] = np.clip(1.0 - mass, 0.0, 1.0)
+        out[a:a + block] = np.clip(1.0 - mass, 0.0, 1.0)
     return _float_or_array(out[inverse].reshape(deltas.shape))
 
 

@@ -275,14 +275,8 @@ def cmd_overlap(args):
 def cmd_convert(args):
     c = _read(args.tstats, "tstat")
     dofs = np.full(c.m, args.dof) if args.dof is not None else c.dofs
-    # one call per distinct dof; t_to_p is elementwise, so grouping moves no bit
-    pvals = np.empty_like(c.values)
-    for nu in np.unique(dofs):
-        planes = dofs == nu
-        pvals[planes] = volume.t_to_p(c.values[planes], nu)
-    out_c = volume.VolumeContainer(
-        kind="pvalue", dims=c.dims, mask=c.mask, dofs=dofs, values=pvals
-    )
+    out_c = volume.VolumeContainer(kind="pvalue", dims=c.dims, mask=c.mask, dofs=dofs,
+                                   values=volume.t_to_p(c.values, dofs))
     _write_volume(out_c, args.out)
     print(f"convert: {c.m} planes, {out_c.n_masked} voxels")
     return (f"{args.out}.manifest.json", {"tstats": args.tstats}, {"pvals": args.out},

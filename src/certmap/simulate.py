@@ -273,10 +273,6 @@ def make_composite(data):
 _HELLINGER_NODES = 48
 # panel edges on each side of 0: 0, 1, 2, 4, ..., 2^40
 _HELLINGER_GRID = np.concatenate([[0.0], 2.0 ** np.arange(0, 41)])
-# doubles per node array of a block of pairs: a block takes as many pairs
-# as fit this budget at its layout's node count, at least one, so each
-# temporary stays within 128 KiB
-_HELLINGER_NODE_BUDGET = 2 ** 14
 
 
 def hellinger_sq(params_a, params_b, nu):
@@ -294,7 +290,7 @@ def hellinger_sq(params_a, params_b, nu):
     psi_nu exp(2 max(h_a, h_b)) expm1(-|h_a - h_b|)^2: it stays finite where
     the density ratio f overflows, and swapping a and b changes no bit.
     Pairs are scored in blocks sized so that each node array holds at most
-    _HELLINGER_NODE_BUDGET doubles. Each pair is summed along its own row, so
+    special._NODE_BUDGET doubles. Each pair is summed along its own row, so
     its value does not depend on the other pairs of the call or on the
     block. Absolute accuracy is well inside 1e-6.
     """
@@ -310,7 +306,7 @@ def hellinger_sq(params_a, params_b, nu):
     for d in np.unique(d_max[differ]):
         x, log_w = _hellinger_layout(nu, float(d))
         group = np.flatnonzero(differ & (d_max == d))
-        block = max(1, _HELLINGER_NODE_BUDGET // x.size)
+        block = max(1, special._NODE_BUDGET // x.size)
         for a in range(0, group.size, block):
             k = group[a:a + block]
             ha = _half_log_f(x, nu, lam_a[k], delta_a[k])

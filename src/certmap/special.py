@@ -437,9 +437,9 @@ def nct_cdf(x, nu, delta):
 
 # unit of v, as a multiple of the decay length of the integrand at x
 _TAIL_SCALE = 3.0
-# elements per block: a block's node arrays (elements x 111 doubles below
-# nu = 40, x 58 from nu = 40 on) stay within a core's cache
-_TAIL_BLOCK = 512
+# doubles per node array of a block: the tail masses, AUC and the Hellinger
+# score take as many items per block as fit (at least one), so 128 KiB each
+_NODE_BUDGET = 2 ** 14
 
 
 @functools.cache
@@ -487,8 +487,9 @@ def nct_tails(x, nu, delta):
     lower = (t == np.inf).astype(np.float64)
     upper = (t == -np.inf).astype(np.float64)
     fin = np.flatnonzero(np.isfinite(t))
-    for a in range(0, fin.size, _TAIL_BLOCK):
-        k = fin[a:a + _TAIL_BLOCK]
+    block = max(1, _NODE_BUDGET // _tail_rule(nu >= _NU_RUNG)[0].size)
+    for a in range(0, fin.size, block):
+        k = fin[a:a + block]
         mass, up = _far_tail(t[k], d[k], nu)
         lower[k] = np.where(up, 1.0 - mass, mass)
         upper[k] = np.where(up, mass, 1.0 - mass)

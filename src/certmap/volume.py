@@ -17,11 +17,13 @@ replication-major. Round-tripping a container reproduces it byte for byte.
 
 The mask run-length encoding lists run lengths of alternating False/True
 values starting with False, in the same x-fastest order as the payload.
+
+Each payload is held once: read_container checks the header, then reads the
+payload straight into the values' array, and write_container writes that array.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,8 +156,10 @@ class VolumeContainer:
 
 
 def write_container(container, path):
+    """Write container to path; the payload goes out from the values' own
+    array, with no copy when they are contiguous float64 on a little-endian host."""
     runs = _mask_to_rle(container.mask.ravel())
-    payload = np.ascontiguousarray(container.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(container.values, dtype="<f8")
     header = "\n".join(
         [
             f"{MAGIC} {VERSION}",
@@ -165,7 +169,7 @@ def write_container(container, path):
             "dofs: " + " ".join(repr(float(d)) for d in container.dofs),
             "mask: rle " + " ".join(str(r) for r in runs),
             "endian: little",
-            f"payload-bytes: {len(payload)}",
+            f"payload-bytes: {payload.nbytes}",
             "payload:",
             "",
         ]
@@ -191,36 +195,17 @@ def _ints(text):
 _SEPARATOR = b"payload:\n"
 
 
-def _aligned_payload(raw, offset, count):
-    """A float64 view of the count values at byte offset of the bytearray
-    raw, once they are moved in place up to the next 8-byte boundary, into
-    the 7 spare bytes at raw's end. numpy sums an unaligned array in other
-    chunks than an aligned one, so the values' sums would otherwise depend
-    on the header's length."""
-    address = np.frombuffer(raw, np.uint8).__array_interface__["data"][0]
-    start = offset + -(address + offset) % 8
-    with memoryview(raw) as view:
-        view[start:start + 8 * count] = view[offset:offset + 8 * count]  # a memmove
-    return np.frombuffer(raw, "<f8", count=count, offset=start)
-
-
-def read_container(path):
-    """The container at path. The file is read once, into a buffer whose
-    payload the values view (writable, and not copied on a little-endian
-    host), so ingest holds one payload-sized array."""
-    with open(path, "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size + 7)
-        size = fh.readinto(raw)
-        if size == len(raw):  # the file grew, or it has no size (a pipe)
-            raw += fh.read() + bytes(7)
-            size = len(raw) - 7
-    idx = raw.find(_SEPARATOR, 0, size)
-    if idx < 0:
-        raise ContainerError("missing payload separator", offset=size)
-    header_text = raw[:idx].decode("utf-8", errors="replace")
-    payload_offset = idx + len(_SEPARATOR)
-
-    lines = header_text.splitlines()
+def _read_header(fh):
+    """(kind, dims, dofs, mask, payload offset) from the header of the open
+    container fh, checked; fh is left at the payload. The header ends with
+    the first line that ends in 'payload:\\n', which is not part of its text."""
+    lines = [b""]
+    while not lines[-1].endswith(_SEPARATOR):
+        lines.append(fh.readline())
+        if not lines[-1]:
+            raise ContainerError("missing payload separator", offset=sum(map(len, lines)))
+    header = b"".join(lines)
+    lines = header[:-len(_SEPARATOR)].decode("utf-8", errors="replace").splitlines()
     if not lines:
         raise ContainerError("empty header", offset=0)
     magic = lines[0].split()
@@ -248,7 +233,6 @@ def read_container(path):
     if m < 1:
         raise ContainerError(f"need at least one replication, got m={m}")
     dofs = np.array(_parse("dofs", fields["dofs"], lambda t: [float(v) for v in t.split()]))
-    # before the payload's reshape, which an m beyond any array size fails unnamed
     if dofs.size != m:
         raise ContainerError(f"dofs length {dofs.size} does not match m={m}")
     mask_parts = fields["mask"].split()
@@ -271,15 +255,33 @@ def read_container(path):
             f"declared payload-bytes {expected} does not match m={m} x "
             f"n_masked={n_masked} float64 values"
         )
-    found = size - payload_offset
-    if found > expected:
-        raise ContainerError(f"{found - expected} trailing bytes after the declared "
-                             f"payload-bytes {expected}", offset=payload_offset + expected)
-    if found < expected:
-        raise TruncatedPayloadError(expected, found, offset=size)
-    values = _aligned_payload(raw, payload_offset, m * n_masked)
-    values = values.astype(np.float64, copy=False).reshape(m, n_masked)
-    return VolumeContainer(kind=fields["kind"], dims=dims, mask=mask, dofs=dofs, values=values)
+    return fields["kind"], dims, dofs, mask, len(header)
+
+
+def read_container(path):
+    """The container at path. The header is read and checked first, then the
+    payload straight into the values' own array (aligned, writable, and not
+    copied on a little-endian host), so ingest holds one payload-sized array.
+    Reads repeat until it is full or the file ends, so pipes read as files do."""
+    with open(path, "rb") as fh:
+        kind, dims, dofs, mask, offset = _read_header(fh)
+        m, n_masked = dofs.size, int(np.count_nonzero(mask))
+        try:
+            values = np.empty(m * n_masked, "<f8")
+        except MemoryError:
+            raise ContainerError(f"a payload of {8 * m * n_masked} bytes is too large to fit "
+                                 "in memory", offset=offset) from None
+        view, found = memoryview(values).cast("B"), 0
+        while found < values.nbytes and (n := fh.readinto(view[found:])):
+            found += n
+        trailing = len(fh.read())
+    if found < values.nbytes:
+        raise TruncatedPayloadError(values.nbytes, found, offset=offset + found)
+    if trailing:
+        raise ContainerError(f"{trailing} trailing bytes after the declared "
+                             f"payload-bytes {values.nbytes}", offset=offset + values.nbytes)
+    values = values.reshape(m, n_masked)  # the container makes it native float64
+    return VolumeContainer(kind=kind, dims=dims, mask=mask, dofs=dofs, values=values)
 
 
 @dataclass
@@ -349,21 +351,27 @@ def _check_tstats(tstats):
         raise ValueError(f"t statistics must be finite, got {float(tstats[bad].flat[0])!r}")
 
 
-def t_to_p(tstats, dof):
+def t_to_p(tstats, dofs):
     """One-sided upper-tail p-values of t statistics: p = P(t_nu >= T).
 
-    Strictly decreasing in T. Non-finite statistics raise. An array is
-    converted in fixed slices of voxels along its last axis
-    (model._voxel_slices), so the working set does not grow with the mask.
+    Strictly decreasing in T. Non-finite statistics raise. dofs is a scalar
+    or one dof per plane (row of an (m, n) array). The values are converted
+    in fixed slices of voxels along the last axis (model._voxel_slices), one
+    special.t_sf call per distinct dof per slice, into one output array, so
+    the working set beyond input and output does not grow with the mask.
     """
     arr = np.asarray(tstats, dtype=np.float64)
     _check_tstats(arr)
     if arr.ndim == 0:
-        return special.t_sf(arr, dof)
-    out = np.empty(arr.shape)
+        return special.t_sf(arr, dofs)
+    planes = arr.reshape(-1, arr.shape[-1])
+    nus = np.broadcast_to(np.asarray(dofs, dtype=np.float64), arr.shape[:-1]).ravel()
+    rows = [(nu, np.flatnonzero(nus == nu)) for nu in np.unique(nus)]
+    out = np.empty(planes.shape)
     for s in _voxel_slices(arr.shape[-1]):
-        out[..., s] = special.t_sf(arr[..., s], dof)
-    return out
+        for nu, k in rows:
+            out[k, s] = special.t_sf(planes[k, s], nu)
+    return out.reshape(arr.shape)
 
 
 # bound on |x|, |y|, |z| and |rep|: larger values would wrap in the int64
@@ -501,5 +509,5 @@ def import_csv(path, dofs=None):
     values = np.ascontiguousarray(table[order, 4].reshape(voxels.size, m).T)
 
     if value_kind == "tstat":
-        values = np.array([t_to_p(row, dof) for row, dof in zip(values, dofs)])
+        values = t_to_p(values, dofs)
     return ReplicationSet(dims=(nx, ny, nz), mask=mask, dofs=dofs, pvalues=values)

@@ -196,6 +196,16 @@ def test_auc_nodes_build_only_the_table_rule(monkeypatch):
     assert built == [48] and x.size == w.size == 96
 
 
+@pytest.mark.parametrize("nu", [4.0, 122.0])
+def test_auc_bit_identical_in_one_delta_blocks(monkeypatch, nu):
+    # blocks of delta are sized from the rule's node count; a budget that
+    # leaves one delta per block moves no bit
+    delta = np.random.default_rng(13).uniform(0.0, 50.0, 250)
+    whole = ct.auc(delta, nu)
+    monkeypatch.setattr(sp, "_NODE_BUDGET", 1)
+    assert ct.auc(delta, nu).tobytes() == whole.tobytes()
+
+
 def test_auc_of_repeated_values_matches_per_element_bit_for_bit():
     rng = np.random.default_rng(31)
     distinct = np.concatenate([[0.0, 1.0 + 1e-12, 50.0], rng.uniform(0.0, 50.0, 37)])

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from certmap import model as md
 from certmap import simulate as sim
 from certmap import volume as vol
 from certmap.cli import _COMMANDS, _build_parser, main
@@ -273,7 +275,7 @@ def _write_tstats(path, values, dofs):
 @pytest.mark.parametrize("dof", [None, 10.0])
 def test_convert_groups_planes_by_dof_bit_for_bit(tmp_path, dof):
     # per-plane dofs, as a CSV's sidecar gives them, or one --dof for all:
-    # one t_to_p call per distinct dof gives what one call per plane gives
+    # convert's one t_to_p call gives what one call per plane gives
     dofs = np.array([10.0, 122.0, 4.0, 10.0, 122.0, 10.0])
     t = np.random.default_rng(71).normal(0.0, 3.0, (6, 40))
     _write_tstats(tmp_path / "t.vol", t, dofs)
@@ -286,9 +288,26 @@ def test_convert_groups_planes_by_dof_bit_for_bit(tmp_path, dof):
                                                        for row, nu in zip(t, used)]))
 
 
+def test_convert_holds_two_payloads(tmp_path, monkeypatch):
+    # convert holds the t statistics read and the p-values it writes, and no
+    # third payload-sized array; a small voxel slice keeps t_to_p's
+    # per-slice temporaries out of the count
+    monkeypatch.setattr(md, "_VOXEL_SLICE", 512)
+    t = np.random.default_rng(72).normal(1.0, 2.0, (2, 60000))
+    _write_tstats(tmp_path / "t.vol", t, np.full(2, 122.0))
+    argv = ["convert", "--tstats", str(tmp_path / "t.vol"), "--out", str(tmp_path / "p.vol")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * t.nbytes
+
+
 def test_convert_names_first_bad_tstat_in_plane_order(tmp_path, capsys):
-    # the dof groups run in dof order, 10 before 122; the error still names
-    # plane 1's value, the first in plane order
+    # the dof groups run in dof order, 10 before 122, but the statistics are
+    # checked first, so the error names plane 1's value, the first in plane order
     t = np.zeros((3, 4))
     t[1, 2], t[2, 0] = np.nan, -np.inf
     _write_tstats(tmp_path / "t.vol", t, np.array([10.0, 122.0, 10.0]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from certmap import simulate as sim
+from certmap import special as sp
 from certmap.model import MixtureParams, mixture_cdf
 
 from oracles import hellinger_statistic_quad, integrate_unit_interval
@@ -367,7 +368,7 @@ def test_hellinger_bit_identical_in_one_pair_blocks(monkeypatch):
     a = MixtureParams(rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 50.0, 40))
     b = MixtureParams(rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 90.0, 40))
     whole = {nu: sim.hellinger_sq(a, b, nu) for nu in (4.0, 122.0)}
-    monkeypatch.setattr(sim, "_HELLINGER_NODE_BUDGET", 1)
+    monkeypatch.setattr(sp, "_NODE_BUDGET", 1)
     for nu, want in whole.items():
         assert sim.hellinger_sq(a, b, nu).tobytes() == want.tobytes()
 

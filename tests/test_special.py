@@ -479,6 +479,18 @@ def test_far_tail_matches_exp_sinh_rule(nu):
         assert (np.abs(got - want)[normal] <= 1e-10 * want[normal]).all()
 
 
+@pytest.mark.parametrize("nu", [4.0, 122.0])
+def test_nct_tails_bit_identical_in_one_element_blocks(monkeypatch, nu):
+    # blocks are sized from the tail rule's node count; a budget that
+    # leaves one element per block moves no bit
+    rng = np.random.default_rng(12)
+    x, delta = rng.uniform(-10.0, 60.0, 300), rng.uniform(0.0, 50.0, 300)
+    whole = sp.nct_tails(x, nu, delta)
+    monkeypatch.setattr(sp, "_NODE_BUDGET", 1)
+    for got, want in zip(sp.nct_tails(x, nu, delta), whole):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_nct_tails_node_count(monkeypatch):
     # at nu = 122 each element's tail takes at most 60 nodes
     shapes = []
@@ -490,5 +502,5 @@ def test_nct_tails_node_count(monkeypatch):
 
     monkeypatch.setattr(sp, "_logratio_at", counted)
     sp.nct_tails(np.linspace(-5.0, 10.0, 700), 122.0, 3.0)
-    assert [s[0] for s in shapes] == [512, 188]
+    assert [s[0] for s in shapes] == [282, 282, 136]  # 2^14 // 58 elements per block
     assert all(s[1] <= 60 for s in shapes)

@@ -89,10 +89,9 @@ def test_payload_length_mismatch_names_its_direction(tmp_path):
 
 @pytest.mark.parametrize("kind_name", ["pvalue", "rho_plus", "tau"])
 def test_read_values_view_the_one_buffer_read(tmp_path, kind_name):
-    # the file is read once, into a buffer the values view without a copy,
-    # so reading traces one payload-sized allocation, not two. The header's
-    # length differs with the kind's name, yet the view is 8-byte aligned,
-    # so numpy sums it as it sums an owned array, and it can be written
+    # reading traces one payload-sized allocation, not two. The header's
+    # length differs with the kind's name, yet the values are 8-byte aligned,
+    # so numpy sums them as it sums an owned array, and they can be written
     c = _container(seed=9, dims=(100, 100, 1), m=3 if kind_name == "pvalue" else 1,
                    kind=kind_name)
     path = tmp_path / "vol.bin"
@@ -109,6 +108,19 @@ def test_read_values_view_the_one_buffer_read(tmp_path, kind_name):
     assert r.values.sum(axis=1).tobytes() == c.values.sum(axis=1).tobytes()
     r.values[0, 0] = 0.5
     assert r.values[0, 0] == 0.5
+
+
+def test_write_holds_no_copy_of_the_payload(tmp_path):
+    c = _container(seed=10, dims=(100, 100, 1), m=3)
+    vol.write_container(c, tmp_path / "warm.vol")
+    tracemalloc.start()
+    try:
+        vol.write_container(c, tmp_path / "vol.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * c.values.nbytes
+    assert vol.read_container(tmp_path / "vol.bin").values.tobytes() == c.values.tobytes()
 
 
 def test_read_container_from_a_pipe(tmp_path):
@@ -166,6 +178,21 @@ def test_damaged_container_reads_or_raises_container_error(tmp_path):
             pass
 
 
+def test_payload_beyond_memory_is_a_container_error(tmp_path):
+    # a consistent header may declare a payload that no host holds (here
+    # 2^17 planes of 2^24 voxels, 16 TiB); it fails as a ContainerError
+    # before any payload is read, or, where the allocation is granted
+    # lazily, as a truncated payload
+    m = 2 ** 17
+    path = tmp_path / "vast.vol"
+    path.write_bytes(
+        f"certmap-volume 1\nkind: pvalue\ndims: 4096 4096 1\nm: {m}\n"
+        f"dofs: {' '.join(['122.0'] * m)}\nmask: rle 0 {2 ** 24}\nendian: little\n"
+        f"payload-bytes: {8 * m * 2 ** 24}\npayload:\n".encode() + bytes(8))
+    with pytest.raises(vol.ContainerError, match="too large to fit in memory|payload truncated"):
+        vol.read_container(path)
+
+
 def test_masked_payload_length():
     c = _container(dims=(3, 1, 1), m=12, mask_frac=1.0)
     assert c.values.size == 36
@@ -209,6 +236,20 @@ def test_t_to_p_bit_identical_under_any_voxel_slice(monkeypatch, size):
     monkeypatch.setattr(md, "_VOXEL_SLICE", size)
     assert vol.t_to_p(t, 122.0).tobytes() == whole.tobytes()
     assert vol.t_to_p(t[0], 122.0).tobytes() == whole[0].tobytes()
+
+
+def test_t_to_p_per_plane_dofs_match_one_call_per_plane(monkeypatch):
+    # one dof per plane gives, bit for bit, one scalar-dof call per plane,
+    # however the voxels are sliced; a scalar dof broadcasts to every plane
+    t = np.random.default_rng(9).normal(1.0, 3.0, (5, 50))
+    dofs = np.array([10.0, 122.0, 4.0, 10.0, 122.0])
+    want = np.vstack([vol.t_to_p(row, nu) for row, nu in zip(t, dofs)])
+    for size in (7, 50):
+        monkeypatch.setattr(md, "_VOXEL_SLICE", size)
+        assert vol.t_to_p(t, dofs).tobytes() == want.tobytes()
+    assert vol.t_to_p(t, 122.0).tobytes() == vol.t_to_p(t, np.full(5, 122.0)).tobytes()
+    assert vol.t_to_p(t[0], 10.0).tobytes() == want[0].tobytes()
+    assert vol.t_to_p(1.9799, 122.0) == sp.t_sf(1.9799, 122.0)
 
 
 def test_t_to_p_rejects_nonfinite():
