@@ -73,10 +73,6 @@ def _check_tau_open(tau):
     return tau
 
 
-def _float_or_array(out):
-    return float(out) if out.ndim == 0 else out
-
-
 def _at_tau(tau, lam, delta, nu):
     """(rho_plus, rho_minus, frontier) at threshold tau from one power pair,
     broadcasting tau against lam and delta.
@@ -102,18 +98,18 @@ def rho_plus(tau, params, nu):
     tau broadcasts against params' lam and delta, which may be floats or
     arrays over voxels.
     """
-    return _float_or_array(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[0])
+    return special._shaped(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[0])
 
 
 def rho_minus(tau, params, nu):
     """True-inactivation certainty at threshold tau; broadcasts like rho_plus."""
-    return _float_or_array(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[1])
+    return special._shaped(_at_tau(_check_tau_open(tau), params.lam, params.delta, nu)[1])
 
 
 def frontier(tau, params, nu):
     """Probability of a correct activation decision at threshold tau;
     broadcasts like rho_plus, with tau in [0, 1]."""
-    return _float_or_array(_at_tau(tau, params.lam, params.delta, nu)[2])
+    return special._shaped(_at_tau(tau, params.lam, params.delta, nu)[2])
 
 
 # log((1 - lam) / lam) through the C library's log1p and log, elementwise;
@@ -122,9 +118,9 @@ def frontier(tau, params, nu):
 _log_odds = np.frompyfunc(lambda lam: math.log1p(-lam) - math.log(lam), 1, 1)
 
 
-def _optimal_threshold_impl(params, nu):
-    """Returns (tau_star, degenerate_flag), one entry per voxel of params
-    (1-D arrays).
+def _optimal_threshold_impl(lam, delta, nu):
+    """Returns (tau_star, degenerate_flag), one entry per voxel of the flat
+    arrays lam and delta, which have passed MixtureParams' checks.
 
     logratio(x) is increasing in x and tau is decreasing in x, so the
     frontier's stationary point is the unique root of
@@ -139,15 +135,13 @@ def _optimal_threshold_impl(params, nu):
     after a step under 2e-16 (|mu| + delta); either way it ends within G's
     rounding floor of the root. Then x = mu sqrt(nu / (delta^2 - mu^2)).
     """
-    lam = np.atleast_1d(params.lam).ravel()
-    delta = np.atleast_1d(params.delta).ravel()
     tau = np.where(lam >= 1.0, 1.0, 0.0)
     degenerate = np.zeros(lam.size, dtype=bool)
     inner = np.flatnonzero((lam > 0.0) & (lam < 1.0))
     if inner.size:
         d = delta[inner]
         target = _log_odds(lam[inner]).astype(np.float64)
-        x_hi = float(special.t_upper_quantile(_TAU_EDGE, nu))
+        x_hi = special.t_upper_quantile(_TAU_EDGE, nu)
         g_hi = special.nct_t_logratio(x_hi, nu, d) - target
         g_lo = special.nct_t_logratio(-x_hi, nu, d) - target
         flat = np.abs(g_hi - g_lo) < 1e-12
@@ -185,10 +179,10 @@ def optimal_threshold(params, nu):
     frontier (delta = 0, lam = 1/2) ties to 0. Floats for a MixtureParams of
     floats, arrays of its shape for one of arrays.
     """
-    tau, _ = _optimal_threshold_impl(params, nu)
-    value = _at_tau(tau, np.ravel(params.lam), np.ravel(params.delta), nu)[2]
+    lam, delta = np.ravel(params.lam), np.ravel(params.delta)
+    tau, _ = _optimal_threshold_impl(lam, delta, nu)
     shape = np.shape(params.lam)
-    return _float_or_array(tau.reshape(shape)), _float_or_array(value.reshape(shape))
+    return special._shaped(tau, shape), special._shaped(_at_tau(tau, lam, delta, nu)[2], shape)
 
 
 # nodes below nu = 40: 64 leave 2.6e-6 at nu = 1, delta = 50; the weights are
@@ -207,7 +201,7 @@ def _auc_nodes(nu):
     nodes, weights = special._gauss_legendre(order)
     scale = 0.5 * (math.log(0.5) - _AUC_WMIN)
     s = np.exp(_AUC_WMIN + scale * (nodes + 1.0))
-    x = np.atleast_1d(special.t_upper_quantile(s, nu))
+    x = special.t_upper_quantile(s, nu)
     ds = scale * weights * s
     return np.concatenate([x, -x]), np.concatenate([ds * s, ds * (1.0 - s)])
 
@@ -231,7 +225,7 @@ def auc(delta, nu):
         d = flat[a:a + block, None]
         mass = np.sum(w * np.exp(special.nct_t_logratio(x, nu, d)), axis=1)
         out[a:a + block] = np.clip(1.0 - mass, 0.0, 1.0)
-    return _float_or_array(out[inverse].reshape(deltas.shape))
+    return special._shaped(out[inverse], deltas.shape)
 
 
 @dataclass(frozen=True)
@@ -289,6 +283,7 @@ def certainty_volume(fits, nu, tau_source="frontier"):
     """
     n = fits.n_masked
     nu = float(nu)
+    # lam and delta are checked once, here; the slices below take their arrays
     params = MixtureParams(fits.lam, fits.delta)
     flags = np.zeros(n, dtype=np.int32)
     flags[~np.asarray(fits.converged, dtype=bool)] |= FLAG_NOT_CONVERGED
@@ -299,8 +294,7 @@ def certainty_volume(fits, nu, tau_source="frontier"):
             raise ValueError(f"unknown tau source {tau_source!r}")
         out_tau, degenerate = np.empty(n), np.empty(n, dtype=bool)
         for s in _voxel_slices(n):
-            out_tau[s], degenerate[s] = _optimal_threshold_impl(
-                MixtureParams(params.lam[s], params.delta[s]), nu)
+            out_tau[s], degenerate[s] = _optimal_threshold_impl(params.lam[s], params.delta[s], nu)
         # a boundary threshold never declares one of the two states, so the
         # corresponding certainty is a vacuous posterior
         flags[degenerate | (out_tau <= 0.0) | (out_tau >= 1.0)] |= FLAG_DEGENERATE_TAU
@@ -323,7 +317,7 @@ def certainty_volume(fits, nu, tau_source="frontier"):
         rho_plus=out_rp,
         rho_minus=out_rm,
         frontier_value=out_fv,
-        auc=np.atleast_1d(auc(params.delta, nu)),
+        auc=auc(params.delta, nu),
         flags=flags,
         tau_source="frontier" if from_frontier else "external",
     )

@@ -285,10 +285,12 @@ def cmd_convert(args):
 
 def cmd_split(args):
     out_a, out_b = _two_paths(args.out, "--out")
-    data = volume.ReplicationSet.from_container(_read(args.input, "pvalue"))
-    idx_a, idx_b = simulate.split_replications(data.m, args.seed)
-    _write_volume(data.subset(idx_a).to_container(), out_a)
-    _write_volume(data.subset(idx_b).to_container(), out_b)
+    c = _read(args.input, "pvalue")
+    idx_a, idx_b = simulate.split_replications(c.m, args.seed)
+    # each half holds its planes as read: no p-value is clamped on the way
+    for idx, path in ((idx_a, out_a), (idx_b, out_b)):
+        _write_volume(volume.VolumeContainer(kind="pvalue", dims=c.dims, mask=c.mask,
+                                             dofs=c.dofs[idx], values=c.values[idx]), path)
     print(f"split: reps {idx_a.tolist()} | {idx_b.tolist()}")
     return (
         f"{out_a}.manifest.json",

@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 _LAM_EPS = 1e-12
-# Capping delta at 50 keeps the search compact without touching any
-# plausible effect size.
-DELTA_CAP = 50.0
+# Capping delta at 50, the log-moment table's reach, keeps the search compact
+# without touching any plausible effect size.
+DELTA_CAP = special._TABLE_MU_MAX
 _V_MIN, _V_MAX = math.log(1e-12), math.log(DELTA_CAP - 1.0)
 # grid in v: the floor, then even steps from delta = 1.01 to the cap
 _V_GRID = np.concatenate([[_V_MIN], np.linspace(math.log(0.01), _V_MAX, 96)])

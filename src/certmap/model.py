@@ -90,9 +90,8 @@ class MixtureParams:
             raise ValueError(f"lam and delta shapes differ: {lam.shape} vs {delta.shape}")
         _check_lam(lam)
         _check_delta(delta)
-        scalar = lam.ndim == 0
-        object.__setattr__(self, "lam", float(lam) if scalar else lam)
-        object.__setattr__(self, "delta", float(delta) if scalar else delta)
+        object.__setattr__(self, "lam", special._shaped(lam))
+        object.__setattr__(self, "delta", special._shaped(delta))
 
 
 class PValueVector:
@@ -144,11 +143,11 @@ def power(tau, delta, nu):
     Broadcasts tau against delta; tau = 0 and 1 map to exactly 0 and 1.
     Scalar tau and delta give a float.
     """
-    return _power_tails(tau, delta, nu)[0]
+    return special._shaped(_power_tails(tau, delta, nu)[0])
 
 
 def _power_tails(tau, delta, nu):
-    """(power, 1 - power) at tau, broadcast like power.
+    """(power, 1 - power) at tau, as arrays of the broadcast shape.
 
     They are the upper and lower masses of the non-central t at the size-tau
     critical value, so the smaller of the two keeps its relative accuracy
@@ -164,8 +163,6 @@ def _power_tails(tau, delta, nu):
     if inner.any():
         x = special.t_upper_quantile(taus[inner], nu)
         q[inner], pw[inner] = special.nct_tails(x, nu, deltas[inner])
-    if pw.ndim == 0:
-        return float(pw), float(q)
     return pw, q
 
 
@@ -181,29 +178,31 @@ def mixture_logpdf(p, params, nu):
 
     Computed as logaddexp(log(1-lam), log(lam) + logratio) so it stays finite
     for every clamped p even when the density ratio is astronomically large
-    or small.
+    or small. p broadcasts against params' lam and delta: the result has
+    their broadcast shape, a float when p and params are scalars.
     """
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    arr, shape = special._prep(p)
     if np.isnan(arr).any() or (arr <= 0.0).any() or (arr >= 1.0).any():
         raise ValueError("p must lie strictly inside (0, 1)")
-    x = np.atleast_1d(special.t_upper_quantile(arr, nu))
+    x = special.t_upper_quantile(arr, nu)
     out = _log_mixture(params.lam, special.nct_t_logratio(x, nu, params.delta))
-    return float(out[0]) if np.ndim(p) == 0 else out
+    return special._shaped(out, np.broadcast_shapes(shape, np.shape(params.lam)))
 
 
 def mixture_pdf(p, params, nu):
-    """Mixture density of the observed p-value; bounded below by (1 - lam)."""
-    return np.exp(mixture_logpdf(p, params, nu))
+    """Mixture density of the observed p-value; bounded below by (1 - lam).
+    Broadcasts like mixture_logpdf."""
+    return special._shaped(np.exp(mixture_logpdf(p, params, nu)))
 
 
 def mixture_cdf(p, params, nu):
-    """P(P_i <= p) = (1 - lam) * p + lam * power(p); 0 at 0 and 1 at 1."""
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    """P(P_i <= p) = (1 - lam) * p + lam * power(p); 0 at 0 and 1 at 1.
+    Broadcasts like mixture_logpdf, with p in [0, 1]."""
+    arr, shape = special._prep(p)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("p must lie in [0, 1]")
-    pw = np.atleast_1d(power(arr, params.delta, nu))
-    out = (1.0 - params.lam) * arr + params.lam * pw
-    return float(out[0]) if np.ndim(p) == 0 else out
+    out = (1.0 - params.lam) * arr + params.lam * power(arr, params.delta, nu)
+    return special._shaped(out, np.broadcast_shapes(shape, np.shape(params.lam)))
 
 
 def voxel_loglik(pvals, params):

@@ -205,13 +205,17 @@ def sample_pvalue(params, nu, rng, size=None):
     """Draw p-values from the mixture: uniform with probability 1 - lam,
     otherwise the upper-tail p of a non-central t draw.
 
-    A fixed number of variates is consumed per sample regardless of the
-    component, so streams stay aligned across parameter values.
+    With size None, one p-value per entry of params: a float for a
+    MixtureParams of floats, an array of its shape for one of arrays. With
+    size, size p-values, against which params broadcasts. A fixed number of
+    variates is consumed per sample regardless of the component, so streams
+    stay aligned across parameter values.
     """
-    n, nu = 1 if size is None else int(size), float(nu)
-    p = _pvalues(params, nu, rng.random(n), rng.random(n), rng.standard_normal(n),
-                 rng.chisquare(nu, n))
-    return float(p[0]) if size is None else p
+    nu = float(nu)
+    shape = np.shape(params.lam) if size is None else (int(size),)
+    n = math.prod(shape)
+    variates = (rng.random(n), rng.random(n), rng.standard_normal(n), rng.chisquare(nu, n))
+    return special._shaped(_pvalues(params, nu, *(v.reshape(shape) for v in variates)))
 
 
 def generate_replications(truth, m, seed):
@@ -224,13 +228,12 @@ def generate_replications(truth, m, seed):
     pass per block of voxels (_cell_keys, equal to numpy's SeedSequence),
     and one Philox serves every cell: setting its state to a cell's key
     with a zero counter and an empty buffer makes it a fresh Philox(key=k),
-    so cell (j, i) reads exactly the stream of _rng(seed, 1, i, j). seed
-    None means truth.seed.
+    so cell (j, i) reads exactly the stream of _rng(seed, 1, i, j).
     """
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    words = _seed_words(truth.seed if seed is None else seed)
+    words = _seed_words(seed)
     bitgen = np.random.Philox(0)  # its state is reset for every cell
     rng = np.random.Generator(bitgen)
     cell = {"counter": [0, 0, 0, 0], "key": None}
@@ -313,8 +316,7 @@ def hellinger_sq(params_a, params_b, nu):
             hb = _half_log_f(x, nu, lam_b[k], delta_b[k])
             terms = np.exp(log_w + 2.0 * np.maximum(ha, hb)) * np.expm1(-np.abs(ha - hb)) ** 2
             out[k] = np.clip(terms.sum(axis=1), 0.0, 2.0)
-    out = out.reshape(shape)
-    return float(out) if out.ndim == 0 else out
+    return special._shaped(out, shape)
 
 
 @functools.cache
@@ -358,7 +360,6 @@ class SimulationRow:
     rmse_lambda: float
     rmse_delta: float
     avg_shd: float
-    n_not_converged: int
 
 
 @dataclass
@@ -410,7 +411,6 @@ def run_simulation(truth, m_range, seed=0):
                 rmse_lambda=rmse_l,
                 rmse_delta=rmse_d,
                 avg_shd=avg_shd,
-                n_not_converged=int(np.count_nonzero(~fits.converged)),
             )
         )
     return SimulationReport(

@@ -1,8 +1,9 @@
 """Student-t family kernel: central and non-central CDFs, tail masses,
 log-densities, quantiles.
 
-All functions are pure and vectorized over the primary argument; scalar input
-gives scalar output. The central CDF is one incomplete beta call, and the
+All functions are pure and vectorized over the primary argument; each result
+takes its arguments' broadcast shape through _shaped, so scalar input gives
+a Python float. The central CDF is one incomplete beta call, and the
 quantile is its inverse in closed form plus one Newton step. The non-central
 density is evaluated entirely in log space so that far-tail density ratios
 stay meaningful even where both densities underflow.
@@ -53,12 +54,17 @@ def _as_dof(nu):
 
 
 def _prep(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return arr, np.ndim(x) == 0
+    """x as a float64 array of at least one dimension, and x's own shape."""
+    arr = np.asarray(x, dtype=np.float64)
+    return np.atleast_1d(arr), arr.shape
 
 
-def _unwrap(out, scalar):
-    return float(out[0]) if scalar else out
+def _shaped(values, shape=None):
+    """values reshaped to shape (by default their own), as a Python float
+    when that shape is (): the one place a result becomes a float, so
+    scalars in give floats out and arrays in give arrays of their shape."""
+    out = np.asarray(values) if shape is None else np.reshape(values, shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def t_cdf(x, nu):
     small tail probabilities to full relative precision.
     """
     nu = _as_dof(nu)
-    arr, scalar = _prep(x)
+    arr, shape = _prep(x)
     if np.isnan(arr).any():
         raise ValueError("t_cdf: x must not be NaN")
     out = np.empty_like(arr)
@@ -98,18 +104,16 @@ def t_cdf(x, nu):
         below = np.where(central, 0.5 + half, 1.0 - half)  # P(t <= |x|)
         above = np.where(central, 0.5 - half, half)  # P(t > |x|)
         out[fin] = np.where(xf >= 0.0, below, above)
-    return _unwrap(out, scalar)
+    return _shaped(out, shape)
 
 
 def t_sf(x, nu):
     """P(t_nu > x), computed without the 1 - cdf cancellation."""
-    nu = _as_dof(nu)
-    arr, scalar = _prep(x)
+    arr = np.asarray(x, dtype=np.float64)
     if np.isnan(arr).any():
         raise ValueError("t_sf: x must not be NaN")
     # symmetry of the central t: upper tail at x is the CDF at -x
-    out = np.atleast_1d(t_cdf(-arr, nu))
-    return _unwrap(out, scalar)
+    return t_cdf(-arr, nu)
 
 
 def _t_log_const(nu):
@@ -137,7 +141,7 @@ def _t_log_const(nu):
 def t_pdf_log(x, nu):
     """Natural log of the central t density; finite for every finite x."""
     nu = _as_dof(nu)
-    arr, scalar = _prep(x)
+    arr, shape = _prep(x)
     if not np.isfinite(arr).all():
         raise ValueError("t_pdf_log: x must be finite")
     const = _t_log_const(nu)
@@ -147,8 +151,7 @@ def t_pdf_log(x, nu):
     val[~big] = np.log1p(xs * xs / nu)
     # |x| beyond 1e150: x*x overflows; log(nu + x^2) ~ 2 log|x| to < 1e-300
     val[big] = 2.0 * np.log(np.abs(arr[big])) - math.log(nu)
-    out = const - 0.5 * (nu + 1.0) * val
-    return _unwrap(out, scalar)
+    return _shaped(const - 0.5 * (nu + 1.0) * val, shape)
 
 
 def t_quantile(p, nu):
@@ -164,7 +167,7 @@ def t_quantile(p, nu):
     t_quantile(1 - p) = -t_quantile(p).
     """
     nu = _as_dof(nu)
-    arr, scalar = _prep(p)
+    arr, shape = _prep(p)
     ok = (arr > 0.0) & (arr < 1.0)
     if not ok.all():
         raise ValueError("t_quantile: p must lie strictly inside (0, 1)")
@@ -186,16 +189,13 @@ def t_quantile(p, nu):
     pdf = np.exp(t_pdf_log(t, nu))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = t - np.where(pdf > 0.0, res / pdf, 0.0)
-    return _unwrap(np.where(arr >= 0.5, -t, t), scalar)
+    return _shaped(np.where(arr >= 0.5, -t, t), shape)
 
 
 def t_upper_quantile(p, nu):
     """The t value whose upper-tail probability is p, i.e. t_sf(result) = p."""
-    arr, scalar = _prep(p)
-    out = -np.atleast_1d(t_quantile(arr, nu))
     # -0.0 -> 0.0 keeps p = 0.5 tidy
-    out = out + 0.0
-    return _unwrap(out, scalar)
+    return -t_quantile(p, nu) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +260,10 @@ def log_moment(nu, mu):
     so a value's result does not depend on what else shares the call.
     """
     nu = _as_dof(nu)
-    shape = np.shape(mu)
-    arr = np.asarray(mu, dtype=np.float64).ravel()
+    arr, shape = _prep(mu)
     if not np.isfinite(arr).all():
         raise ValueError("log_moment: mu must be finite")
-    return _shaped(_moment_terms(nu, arr)[0], shape)
+    return _shaped(_moment_terms(nu, arr.ravel())[0], shape)
 
 
 def _moment_terms(nu, mu):
@@ -303,7 +302,8 @@ def _moment_terms(nu, mu):
     return out
 
 
-# |mu| < delta, so the table spans every non-centrality up to fit.DELTA_CAP
+# the table's reach in |mu|, and the fit's delta cap (fit.DELTA_CAP reads it
+# from here): |mu| < delta, so every density ratio the fit forms reads the table
 _TABLE_MU_MAX = 50.0
 # knots per unit of mu; a spacing of 0.1 keeps the table within 3e-12
 _TABLE_PER_UNIT = 10.0
@@ -356,7 +356,7 @@ class LogMomentTable:
         return out
 
     def __call__(self, mu):
-        arr, scalar = _prep(mu)
+        arr, shape = _prep(mu)
         inside = np.abs(arr) <= _TABLE_MU_MAX
         if inside.all():
             out = self._horner(self._coef, *self._index(arr))
@@ -364,7 +364,7 @@ class LogMomentTable:
             out = np.empty_like(arr)
             out[inside] = self._horner(self._coef, *self._index(arr[inside]))
             out[~inside] = log_moment(self.nu, arr[~inside])
-        return _unwrap(out, scalar)
+        return _shaped(out, shape)
 
     def with_slope(self, mu):
         """(log M, d log M / dmu) at each mu of a flat array, as two rows;
@@ -412,8 +412,7 @@ def nct_t_logratio(x, nu, delta):
     if not np.isfinite(xs).all():
         raise ValueError("nct_t_logratio: x must be finite")
     # a(x) on x's own shape; mu and the result broadcast against delta
-    out = _logratio_at(ds * (xs / np.hypot(math.sqrt(nu), xs)), ds, nu)
-    return float(out) if out.ndim == 0 else out
+    return _shaped(_logratio_at(ds * (xs / np.hypot(math.sqrt(nu), xs)), ds, nu))
 
 
 def _logratio_at(mu, delta, nu, slope=False):
@@ -517,12 +516,8 @@ def _far_tail(x, delta, nu):
     aw = np.abs(w)
     # with t = sqrt(nu) sinh w, t_pdf_log(t) + log(dt/dw) is
     # t_pdf_log(0) + log(sqrt(nu)) - nu log cosh w, and mu = delta tanh w
-    log_j = (float(t_pdf_log(0.0, nu)) + 0.5 * math.log(nu) + nu * math.log(2.0)
+    log_j = (t_pdf_log(0.0, nu) + 0.5 * math.log(nu) + nu * math.log(2.0)
              - nu * (aw + np.log1p(np.exp(-2.0 * aw)))
              + _logratio_at(delta[:, None] * np.tanh(w), delta[:, None], nu))
     return np.clip(h * np.sum(np.exp(log_j) * weights, axis=1), 0.0, 1.0), up
 
-
-def _shaped(flat, shape):
-    out = flat.reshape(shape)
-    return float(out) if out.ndim == 0 else out

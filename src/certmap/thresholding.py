@@ -144,7 +144,8 @@ def threshold_with_frontier(fits, composite_pvals, nu, taus=None):
     if composite_pvals.size != fits.n_masked:
         raise ValueError("composite volume does not match the fitted mask")
     if taus is None:
-        taus = certainty._optimal_threshold_impl(MixtureParams(fits.lam, fits.delta), float(nu))[0]
+        params = MixtureParams(fits.lam, fits.delta)
+        taus = certainty._optimal_threshold_impl(params.lam, params.delta, float(nu))[0]
     else:
         taus = np.asarray(taus, dtype=np.float64)
         if taus.size != fits.n_masked:

@@ -360,10 +360,8 @@ def t_to_p(tstats, dofs):
     special.t_sf call per distinct dof per slice, into one output array, so
     the working set beyond input and output does not grow with the mask.
     """
-    arr = np.asarray(tstats, dtype=np.float64)
+    arr, shape = special._prep(tstats)
     _check_tstats(arr)
-    if arr.ndim == 0:
-        return special.t_sf(arr, dofs)
     planes = arr.reshape(-1, arr.shape[-1])
     nus = np.broadcast_to(np.asarray(dofs, dtype=np.float64), arr.shape[:-1]).ravel()
     rows = [(nu, np.flatnonzero(nus == nu)) for nu in np.unique(nus)]
@@ -371,7 +369,7 @@ def t_to_p(tstats, dofs):
     for s in _voxel_slices(arr.shape[-1]):
         for nu, k in rows:
             out[k, s] = special.t_sf(planes[k, s], nu)
-    return out.reshape(arr.shape)
+    return special._shaped(out, shape)
 
 
 # bound on |x|, |y|, |z| and |rep|: larger values would wrap in the int64

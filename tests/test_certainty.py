@@ -369,7 +369,7 @@ def test_tau_star_nondecreasing_in_lambda(delta, lams):
     # rises in x, so the root moves to smaller x: a larger tau
     lam = np.sort(np.array(lams))
     prm = MixtureParams(lam, np.full(lam.size, delta))
-    tau, _ = ct._optimal_threshold_impl(prm, 122.0)
+    tau, _ = ct._optimal_threshold_impl(prm.lam, prm.delta, 122.0)
     assert np.all(np.diff(tau) >= 0.0)
 
 
@@ -486,7 +486,7 @@ def test_tau_star_matches_bisection_oracle(nu):
                           0.5 + tiny * rng.uniform(-0.5, 0.5, k), rng.uniform(0.0, 1.0, k)])
     delta = np.concatenate([rng.uniform(0.0, 12.0, k), rng.uniform(0.0, 50.0, 2 * k), tiny,
                             rng.uniform(50.0, 200.0, k)])
-    tau, _ = ct._optimal_threshold_impl(MixtureParams(lam, delta), nu)
+    tau, _ = ct._optimal_threshold_impl(lam, delta, nu)
     want = optimal_threshold_bisect(lam, delta, nu)
     inside = np.isfinite(want)
     assert inside.sum() > k
@@ -514,4 +514,4 @@ def test_tau_star_table_passes_on_certainty_mix(monkeypatch):
     sp.get_moment_table(122.0)
     count = _counter(monkeypatch, (sp.LogMomentTable, "__call__"),
                      (sp.LogMomentTable, "with_slope"))
-    assert count(ct._optimal_threshold_impl, MixtureParams(lam, delta), 122.0) <= 20
+    assert count(ct._optimal_threshold_impl, lam, delta, 122.0) <= 20

@@ -340,6 +340,24 @@ def test_split_reproducible_and_complementary(fixture_volumes, tmp_path):
     assert (tmp_path / "a.vol").read_bytes() == (tmp_path / "a2.vol").read_bytes()
 
 
+def test_split_writes_planes_unclamped(tmp_path):
+    # p-values at and beyond the clamp bounds reach the halves as read
+    values = np.array([[0.0, 1e-300, 1.0], [0.5, 1.0, 0.0], [1e-300, 0.25, 1.0], [1.0, 0.0, 0.75]])
+    src = tmp_path / "edge.vol"
+    vol.write_container(vol.VolumeContainer(
+        kind="pvalue", dims=(3, 1, 1), mask=np.ones((1, 1, 3), dtype=bool),
+        dofs=np.array([10.0, 11.0, 12.0, 13.0]), values=values), src)
+    assert main(["split", "--input", str(src), "--seed", "3",
+                 "--out", f"{tmp_path / 'a.vol'},{tmp_path / 'b.vol'}"]) == 0
+    config = json.loads((tmp_path / "a.vol.manifest.json").read_text())["config"]
+    merged_values, merged_dofs = np.empty_like(values), np.empty(4)
+    for half, idx in (("a", config["indices_a"]), ("b", config["indices_b"])):
+        c = vol.read_container(tmp_path / f"{half}.vol")
+        merged_values[idx], merged_dofs[idx] = c.values, c.dofs
+    assert merged_values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(merged_dofs, [10.0, 11.0, 12.0, 13.0])
+
+
 def test_dump_slice(fixture_volumes, tmp_path):
     reps, _ = fixture_volumes
     assert main(["dump", "--input", str(reps), "--slice", "0", "--rep", "2",

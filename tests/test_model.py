@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from certmap import certainty as ct
 from certmap import model as md
+from certmap import simulate as sim
 from certmap import special as sp
 
 from oracles import (integrate_unit_interval, nct_cdf_quad, nct_tails_mpmath, power_quad,
@@ -222,3 +224,83 @@ def test_voxel_loglik_finite_at_clamped_tails():
     for lam in (0.0, 0.5, 1.0):
         ll = md.voxel_loglik(pv, md.MixtureParams(lam, 6.0))
         assert np.isfinite(ll)
+
+
+class _FixedRng:
+    """Stands in for a Generator: every draw of a kind has one value, so each
+    entry of a sample_pvalue call sees the variates a scalar call sees."""
+
+    def random(self, n):
+        return np.full(n, 0.45)
+
+    def standard_normal(self, n):
+        return np.full(n, 0.3)
+
+    def chisquare(self, df, n):
+        return np.full(n, df)
+
+
+_NU = 122.0
+_LAMS, _DELTAS = (0.1, 0.5, 0.9), (2.0, 3.0, 6.0)
+
+
+def _prm(lam, delta):
+    return md.MixtureParams(lam, delta)
+
+
+# name: (call on (x, lam, delta), three x values or None where the call takes
+# no x, whether it reads lam and delta)
+_KERNELS = {
+    "t_cdf": (lambda x, lam, d: sp.t_cdf(x, _NU), (0.7, -3.0, np.inf), False),
+    "t_sf": (lambda x, lam, d: sp.t_sf(x, _NU), (0.7, -3.0, -np.inf), False),
+    "t_pdf_log": (lambda x, lam, d: sp.t_pdf_log(x, _NU), (0.7, -3.0, 1e200), False),
+    "t_quantile": (lambda x, lam, d: sp.t_quantile(x, _NU), (0.3, 1e-5, 0.9), False),
+    "t_upper_quantile": (lambda x, lam, d: sp.t_upper_quantile(x, _NU), (0.3, 1e-5, 0.5), False),
+    "log_moment": (lambda x, lam, d: sp.log_moment(_NU, x), (0.5, 62.0, -3.0), False),
+    "LogMomentTable": (lambda x, lam, d: sp.get_moment_table(_NU)(x), (0.5, 62.0, -51.5), False),
+    "nct_t_logratio": (lambda x, lam, d: sp.nct_t_logratio(x, _NU, d), (1.5, -2.0, 40.0), True),
+    "nct_cdf": (lambda x, lam, d: sp.nct_cdf(x, _NU, d), (1.5, -2.0, np.inf), True),
+    "nct_pdf_log": (lambda x, lam, d: sp.nct_pdf_log(x, _NU, d), (1.5, -2.0, 40.0), True),
+    "power": (lambda x, lam, d: md.power(x, d, _NU), (0.01, 0.0, 0.5), True),
+    "auc": (lambda x, lam, d: ct.auc(d, _NU), None, True),
+    "rho_plus": (lambda x, lam, d: ct.rho_plus(x, _prm(lam, d), _NU), (0.01, 0.2, 0.9), True),
+    "rho_minus": (lambda x, lam, d: ct.rho_minus(x, _prm(lam, d), _NU), (0.01, 0.2, 0.9), True),
+    "frontier": (lambda x, lam, d: ct.frontier(x, _prm(lam, d), _NU), (0.01, 0.0, 1.0), True),
+    "optimal_threshold": (lambda x, lam, d: ct.optimal_threshold(_prm(lam, d), _NU), None, True),
+    "mixture_logpdf": (lambda x, lam, d: md.mixture_logpdf(x, _prm(lam, d), _NU),
+                       (0.01, 0.5, 0.99), True),
+    "mixture_pdf": (lambda x, lam, d: md.mixture_pdf(x, _prm(lam, d), _NU), (0.01, 0.5, 0.99), True),
+    "mixture_cdf": (lambda x, lam, d: md.mixture_cdf(x, _prm(lam, d), _NU), (0.01, 0.0, 1.0), True),
+    "hellinger_sq": (lambda x, lam, d: sim.hellinger_sq(_prm(lam, d), _prm(0.3, 4.0), _NU),
+                     None, True),
+    "sample_pvalue": (lambda x, lam, d: sim.sample_pvalue(_prm(lam, d), _NU, _FixedRng()),
+                      None, True),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNELS))
+def test_result_shape_rule(name):
+    # Python scalars in give a float out; arguments of shape (3,), in x or
+    # in the params, give an array of shape (3,) whose every element has
+    # the bits of the scalar call on that element's arguments
+    call, xs, reads_params = _KERNELS[name]
+    x0 = None if xs is None else xs[0]
+
+    def results(x, lam, delta):
+        out = call(x, lam, delta)
+        return out if isinstance(out, tuple) else (out,)
+
+    for scalar in results(x0, _LAMS[0], _DELTAS[0]):
+        assert type(scalar) is float
+    cases = []  # (array arguments, the scalar arguments of each element)
+    if xs is not None:
+        cases.append(((np.array(xs), _LAMS[0], _DELTAS[0]),
+                      [(x, _LAMS[0], _DELTAS[0]) for x in xs]))
+    if reads_params:
+        cases.append(((x0, np.array(_LAMS), np.array(_DELTAS)),
+                      [(x0, lam, delta) for lam, delta in zip(_LAMS, _DELTAS)]))
+    for array_args, scalar_args in cases:
+        each = [results(*a) for a in scalar_args]
+        for k, out in enumerate(results(*array_args)):
+            assert isinstance(out, np.ndarray) and out.shape == (3,)
+            assert out.tobytes() == np.array([e[k] for e in each]).tobytes()

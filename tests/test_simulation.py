@@ -178,9 +178,9 @@ def test_generation_cell_is_sampler_on_keyed_stream(m):
         lam=lam.ravel(), delta=delta.ravel(), scenario="default", seed=21, nu=122.0,
     )
     # 2**32 has two entropy words, one more than the SeedSequence pool holds
-    for seed, key in ((8, 8), (None, 21), (2**32, 2**32)):
+    for seed in (8, 2**32):
         data = sim.generate_replications(truth, m, seed)
-        expect = [[sim.sample_pvalue(MixtureParams(lam_i, delta_i), 122.0, sim._rng(key, 1, i, j))
+        expect = [[sim.sample_pvalue(MixtureParams(lam_i, delta_i), 122.0, sim._rng(seed, 1, i, j))
                    for i, (lam_i, delta_i) in enumerate(zip(truth.lam, truth.delta))]
                   for j in range(m)]
         np.testing.assert_array_equal(data.pvalues, np.array(expect))
